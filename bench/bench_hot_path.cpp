@@ -105,8 +105,8 @@ struct Measurement {
 };
 
 /// Dense steady state: N sessions admitted at slot 0, none ever leave; the
-/// clock covers only the measured window (warm-up absorbs admission, trace
-/// reservations and scratch growth).
+/// clock covers only the measured window (warm-up absorbs admission, tally
+/// ring allocation and scratch growth).
 Measurement run_dense(std::size_t n, std::size_t warm, std::size_t measure,
                       const TelemetryConfig* telemetry = nullptr) {
   ServingConfig config = base_config(warm + measure);
@@ -307,6 +307,7 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
 bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
                     std::size_t steps, bool churn, const char* label) {
   ServingConfig config = base_config(steps);
+  config.trace_mode = TraceMode::kAll;  // the oracle compares per-slot traces
   config.policy = policy;
   config.pf_ewma_window = pf_window;
   const double load =
@@ -361,6 +362,7 @@ bool cluster_oracle_matches(SchedulerPolicy policy, std::size_t links,
                             const char* label) {
   ClusterConfig config;
   config.serving = base_config(steps);
+  config.serving.trace_mode = TraceMode::kAll;  // oracle compares traces
   config.serving.policy = policy;
   config.placement = PlacementPolicy::kRoundRobin;
   const double load = AdmissionController::cheapest_depth_load(
@@ -461,6 +463,7 @@ bool parallel_matches_serial() {
   const auto run = [&](std::size_t threads) {
     ServingConfig config = base_config(120);
     config.threads = threads;
+    config.trace_mode = TraceMode::kAll;  // compared slot by slot below
     const double load = AdmissionController::cheapest_depth_load(
         hot_cache(), config.candidates);
     const double capacity = 64.0 * load * 1.5;

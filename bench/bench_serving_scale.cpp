@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       if (threads == 1) serial_ms = ms;
       double slots = 0.0;
       for (const SessionOutcome& s : result.sessions) {
-        slots += static_cast<double>(s.trace.size());
+        slots += static_cast<double>(s.slots);
       }
       table.add_row({static_cast<std::int64_t>(sessions),
                      static_cast<std::int64_t>(threads), ms,

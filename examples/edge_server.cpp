@@ -41,6 +41,8 @@ int main() {
   config.v = calibrate_streaming_v(*caches.front(), config.candidates,
                                    3.0 * caches.front()->workload(0).bytes(6));
   config.admission.utilization_target = 0.95;
+  // Keep full per-slot traces: the report below plots them.
+  config.trace_mode = TraceMode::kAll;
 
   // Size the link so the four initial sessions fit the stability region at
   // their cheapest candidate depth with half a session of headroom: an edge
@@ -90,7 +92,7 @@ int main() {
   std::vector<LabeledTrace> labeled;
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     if (result.sessions[i].admitted &&
-        result.sessions[i].trace.size() == config.steps) {
+        result.sessions[i].slots == config.steps) {
       labeled.push_back({"session-" + std::to_string(i),
                          &result.sessions[i].trace});
     }

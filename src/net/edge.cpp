@@ -27,6 +27,7 @@ EdgeResult run_edge_scenario(const EdgeConfig& config,
                        : SchedulerPolicy::kEqualShare;
   serving.admission.enabled = false;
   serving.threads = 1;
+  serving.trace_mode = TraceMode::kAll;  // the result carries device traces
 
   std::vector<SessionSpec> specs;
   specs.reserve(caches.size());

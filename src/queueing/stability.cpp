@@ -27,22 +27,39 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
     throw std::invalid_argument("analyze_stability: tail_fraction in (0, 1]");
   }
 
-  StabilityReport report;
+  const std::size_t tail_len = stability_tail_length(backlog.size(),
+                                                     tail_fraction);
+  const std::size_t start = backlog.size() - tail_len;
+  StabilityReport report = analyze_stability_tail(
+      std::span<const double>(backlog).subspan(start), start,
+      divergence_slope, zero_threshold);
   report.peak = *std::max_element(backlog.begin(), backlog.end());
   report.time_average =
       std::accumulate(backlog.begin(), backlog.end(), 0.0) /
       static_cast<double>(backlog.size());
+  return report;
+}
 
-  const std::size_t tail_len = std::max<std::size_t>(
-      4, static_cast<std::size_t>(static_cast<double>(backlog.size()) *
-                                  tail_fraction));
-  const std::size_t start = backlog.size() - tail_len;
+std::size_t stability_tail_length(std::size_t n,
+                                  double tail_fraction) noexcept {
+  return std::max<std::size_t>(
+      4, static_cast<std::size_t>(static_cast<double>(n) * tail_fraction));
+}
+
+StabilityReport analyze_stability_tail(std::span<const double> tail,
+                                       std::size_t start,
+                                       double divergence_slope,
+                                       double zero_threshold) {
+  const std::size_t tail_len = tail.size();
+  if (tail_len < 2) {
+    throw std::invalid_argument("analyze_stability_tail: need >= 2 samples");
+  }
+  StabilityReport report;
   std::vector<double> t(tail_len);
-  std::vector<double> q(tail_len);
+  std::vector<double> q(tail.begin(), tail.end());
   double tail_sum = 0.0;
   for (std::size_t i = 0; i < tail_len; ++i) {
     t[i] = static_cast<double>(start + i);
-    q[i] = backlog[start + i];
     tail_sum += q[i];
   }
   report.tail_mean = tail_sum / static_cast<double>(tail_len);

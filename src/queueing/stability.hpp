@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace arvis {
@@ -43,6 +44,23 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
                                   double tail_fraction = 1.0 / 3.0,
                                   double divergence_slope = 1.0,
                                   double zero_threshold = 1.0);
+
+/// Length of the tail analyze_stability() examines in an `n`-sample series:
+/// max(4, floor(n · tail_fraction)), computed in exactly its arithmetic.
+/// Monotone in n, and grows by at most one per sample.
+std::size_t stability_tail_length(std::size_t n,
+                                  double tail_fraction = 1.0 / 3.0) noexcept;
+
+/// The verdict half of analyze_stability(): classifies the series from its
+/// tail alone. `tail` holds samples [start, start + tail.size()) of the
+/// series, oldest first (tail.size() >= 2). Fills verdict, tail_slope and
+/// tail_mean; peak and time_average are left for the caller, which is how a
+/// streaming accumulator that kept only the tail reaches the same verdict
+/// bit for bit as the full-series path.
+StabilityReport analyze_stability_tail(std::span<const double> tail,
+                                       std::size_t start,
+                                       double divergence_slope,
+                                       double zero_threshold);
 
 /// The stability region boundary of the depth-control system: with constant
 /// frame workload a(d) and mean service b̄, depth d is sustainable iff

@@ -75,6 +75,10 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
   if (link_mean_capacity_bytes.empty()) {
     throw std::invalid_argument("EdgeCluster: need >= 1 link");
   }
+  if (link_mean_capacity_bytes.size() > kMaxClusterLinks) {
+    throw std::invalid_argument(
+        "EdgeCluster: more links than the flight encoding can name (1024)");
+  }
   // The links run their phases inline — the cluster's executor is the only
   // fan-out point — so give each manager a serial (no-pool) executor. Each
   // link gets its own telemetry lane: counters under "link<k>/", spans on

@@ -94,6 +94,11 @@ struct HandoverPolicy {
   bool rebalance_on_departure = false;
 };
 
+/// Most links one cluster may run: the migration flight event packs
+/// `reason·2^20 + from·2^10 + to` into one payload, so link ids must fit in
+/// 10 bits to decode unambiguously.
+inline constexpr std::size_t kMaxClusterLinks = 1024;
+
 struct ClusterConfig {
   /// Per-link runtime configuration (scheduler policy, candidates, V,
   /// admission target). `serving.threads` sizes the *cluster's* decide
@@ -210,7 +215,8 @@ class EdgeCluster {
  public:
   /// `link_mean_capacity_bytes[k]` calibrates link k's admission controller
   /// (ChannelModel::mean_capacity_bytes() of the stream that will drive it).
-  /// Throws std::invalid_argument on zero links or a bad serving config.
+  /// Throws std::invalid_argument on zero links, more than kMaxClusterLinks
+  /// links, or a bad serving config.
   EdgeCluster(const ClusterConfig& config,
               const std::vector<double>& link_mean_capacity_bytes);
   ~EdgeCluster();

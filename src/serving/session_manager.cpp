@@ -14,7 +14,7 @@ SessionManager::SessionManager(const ServingConfig& config,
       admission_(config.admission, mean_capacity_bytes),
       scheduler_(make_scheduler(config.policy)),
       executor_(config.threads),
-      store_(config.candidates, config.v) {
+      store_(config.candidates, config.v, config.trace_mode) {
   if (config_.steps == 0) {
     throw std::invalid_argument("SessionManager: steps must be > 0");
   }
@@ -154,12 +154,13 @@ void SessionManager::close_departures() {
 
 void SessionManager::activate(ServingSession& s) {
   s.phase = SessionPhase::kActive;
-  // Reserve the whole active window up front so steady-state trace appends
-  // never reallocate (the manager may be driven past config_.steps by hand,
-  // in which case appends beyond the reservation simply grow as usual).
+  // The planned window sizes the tally's tail ring and, under kAll, the
+  // trace reservation, so steady-state drains never reallocate (the manager
+  // may be driven past config_.steps by hand; both then grow as needed).
   const std::size_t horizon = std::min(s.spec.departure_slot, config_.steps);
-  if (horizon > slot_) s.trace.reserve(horizon - slot_);
-  store_.activate(s, slot_);
+  const std::size_t planned = horizon > slot_ ? horizon - slot_ : 0;
+  if (store_.traces_all()) s.trace.reserve(planned);
+  store_.activate(s, planned);
 }
 
 void SessionManager::admit_arrivals() {
@@ -487,10 +488,11 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
   // quantity rephrased as a latency.
   const std::size_t n = store_.active_count();
   const std::span<const double> backlogs = store_.backlogs();
+  const std::span<const std::uint8_t> tiers = store_.qos_tiers();
+  const std::span<const SessionTally> tallies = store_.tallies();
   for (auto& scratch : slo_scratch_) scratch.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    ServingSession& s = store_.active_session(i);
-    const auto t = static_cast<std::size_t>(s.spec.qos);
+    const auto t = static_cast<std::size_t>(tiers[i]);
     const double delay =
         mean_capacity_bytes_ > 0.0
             ? backlogs[i] * static_cast<double>(n) / mean_capacity_bytes_
@@ -498,8 +500,8 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
     slo_scratch_[t].push_back(delay);
     slo_scratch_[kSloTiers].push_back(delay);
     local[t].active += 1;
-    if (!s.trace.empty()) {
-      const double quality = s.trace.at(s.trace.size() - 1).quality;
+    if (tallies[i].totals.steps > 0) {
+      const double quality = tallies[i].last_quality;
       if (!local[t].has_quality || quality < local[t].min_quality) {
         local[t].min_quality = quality;
         local[t].has_quality = true;
@@ -574,6 +576,7 @@ ServingResult SessionManager::finish() {
   ServingResult result;
   result.admission = admission_.stats();
   result.sessions.reserve(store_.session_count());
+  std::vector<double> tail_scratch;
   for (std::size_t pos = 0; pos < store_.session_count(); ++pos) {
     ServingSession& s = store_.session(pos);
     // A session whose arrival slot was never reached is reported as not
@@ -587,9 +590,19 @@ ServingResult SessionManager::finish() {
     metrics.arrival_slot = s.arrival_actual;
     metrics.departure_slot = s.departure_actual;
     metrics.weight = s.spec.weight;
-    if (s.admitted && !s.trace.empty()) {
+    if (s.admitted && s.tally.totals.steps > 0) {
       metrics.has_summary = true;
-      metrics.summary = s.trace.summarize_partial();
+      if (store_.traces_all()) {
+        // The stored trace is the reference; the tally must agree with it
+        // bit for bit (the streaming path's exactness contract).
+        metrics.summary = s.trace.summarize_partial();
+        ARVIS_DCHECK_MSG(
+            bit_identical(metrics.summary,
+                          summarize_tally(s.tally, tail_scratch)),
+            "streaming summary diverged from the full-trace summary");
+      } else {
+        metrics.summary = summarize_tally(s.tally, tail_scratch);
+      }
     }
     metrics_.record_session(metrics);
 
@@ -600,6 +613,7 @@ ServingResult SessionManager::finish() {
     outcome.departure_slot = s.departure_actual;
     outcome.weight = s.spec.weight;
     outcome.max_sustainable_depth = s.max_sustainable_depth;
+    outcome.slots = s.tally.totals.steps;
     outcome.has_summary = metrics.has_summary;
     outcome.summary = metrics.summary;
     outcome.trace = std::move(s.trace);

@@ -15,7 +15,7 @@
 //      (fanned out across the executor — sessions are independent, so the
 //      result is bit-identical for any thread count);
 //   3. schedule: the EdgeScheduler divides the slot's capacity;
-//   4. drain: queues advance, per-session traces and fleet metrics record.
+//   4. drain: queues advance, per-session tallies and fleet metrics record.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -103,6 +103,10 @@ struct ServingConfig {
   /// Brownout degradation policy (off by default; requires admission
   /// enabled to observe utilization).
   DegradationPolicy degradation;
+  /// Per-slot traces: kNone (default) keeps only the streaming tallies the
+  /// summaries are built from; kAll also fills SessionOutcome::trace.
+  /// Summaries, fleet metrics and SLO samples are bit-identical either way.
+  TraceMode trace_mode = TraceMode::kNone;
 };
 
 /// One session's run record.
@@ -118,13 +122,17 @@ struct SessionOutcome {
   double weight = 1.0;
   /// Depth headroom the admission controller saw at arrival.
   int max_sustainable_depth = 0;
-  /// True when `summary` is populated (admitted with a non-empty trace);
+  /// Slots the session actually streamed (0 when rejected or never
+  /// arrived); equals trace.size() under TraceMode::kAll.
+  std::size_t slots = 0;
+  /// True when `summary` is populated (admitted and streamed >= 1 slot);
   /// computed once at finish() so consumers need not re-summarize. Sessions
   /// active < 8 slots carry a partial summary (summary.partial) whose means
   /// are valid but whose stability verdict is reported as "too-short".
   bool has_summary = false;
   TraceSummary summary;
-  /// Per-slot record over the active window (empty when rejected).
+  /// Per-slot record over the active window. Empty unless the run used
+  /// ServingConfig::trace_mode = TraceMode::kAll (and when rejected).
   Trace trace;
 };
 
@@ -343,7 +351,9 @@ class SessionManager {
   /// queued work at a fair share), and the delivered-quality floor over
   /// active sessions. Additive (merge_slo_sample semantics), so a cluster
   /// calls it once per link and gets the worst-link gauge view. Snapshot
-  /// cadence only — O(active log active), never part of the slot loop.
+  /// cadence only — O(active log active), never part of the slot loop; it
+  /// reads the store's hot mirrors (QoS tier, tally) and never the cold
+  /// slab.
   void accumulate_slo(SloObservation& observation);
 
   /// Cross-checks the session store's SoA mirrors against the cold slab

@@ -33,7 +33,40 @@ std::uint64_t mix_key(std::uint64_t row_key, std::uint64_t backlog_bits,
   return k;
 }
 
+/// Cap on a ring's initial capacity: a session planned for millions of
+/// slots starts at this and grows like any session that outlives its plan.
+constexpr std::size_t kMaxInitialRing = std::size_t{1} << 16;
+
+/// The first step count at which a ring of `cap` samples can no longer
+/// hold the stability tail: the smallest k with stability_tail_length(k) >
+/// cap. Every k <= 3·cap has floor(k · (1/3)) <= cap, so the scan starts
+/// past it and ends within a few steps.
+std::size_t ring_grow_step(std::size_t cap) noexcept {
+  std::size_t k = 3 * cap + 1;
+  while (stability_tail_length(k) <= cap) ++k;
+  return k;
+}
+
 }  // namespace
+
+TraceSummary summarize_tally(const SessionTally& tally,
+                             std::vector<double>& scratch) {
+  const std::size_t steps = tally.totals.steps;
+  scratch.clear();
+  if (steps >= 8) {
+    // Unroll the newest `len` samples oldest first; the ring invariant
+    // guarantees len <= ring_cap and that none of them was overwritten.
+    const std::size_t len = stability_tail_length(steps);
+    const std::size_t cap = tally.ring_cap;
+    ARVIS_DCHECK_LE(len, cap);
+    std::size_t pos = (tally.ring_head + cap - len % cap) % cap;
+    for (std::size_t k = 0; k < len; ++k) {
+      scratch.push_back(tally.ring[pos]);
+      pos = pos + 1 == cap ? 0 : pos + 1;
+    }
+  }
+  return summarize_totals(tally.totals, scratch);
+}
 
 FlatDecideTable::FlatDecideTable(const FrameStatsCache& cache,
                                  std::span<const int> candidates)
@@ -54,8 +87,12 @@ FlatDecideTable::FlatDecideTable(const FrameStatsCache& cache,
   }
 }
 
-SessionStore::SessionStore(std::vector<int> candidates, double v)
-    : candidates_(std::move(candidates)), v_(v), width_(candidates_.size()) {
+SessionStore::SessionStore(std::vector<int> candidates, double v,
+                           TraceMode trace_mode)
+    : candidates_(std::move(candidates)),
+      v_(v),
+      width_(candidates_.size()),
+      trace_all_(trace_mode == TraceMode::kAll) {
   if (candidates_.empty()) {
     throw std::invalid_argument("SessionStore: empty candidate set");
   }
@@ -91,7 +128,7 @@ std::size_t SessionStore::intern(const FrameStatsCache& cache) {
   return tables_.size() - 1;
 }
 
-void SessionStore::activate(ServingSession& s, std::size_t slot) {
+void SessionStore::activate(ServingSession& s, std::size_t planned_slots) {
 #if ARVIS_DCHECK_IS_ON
   // Double-activation would alias two SoA slots onto one slab record;
   // O(active) scan, Debug builds only.
@@ -101,7 +138,6 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
 #endif
   const std::size_t table_id = intern(*s.spec.cache);
   const FlatDecideTable& table = *tables_[table_id].second;
-  (void)slot;  // session-local frame time starts at row 0 regardless
   active_.push_back(&s);
   backlog_.push_back(0.0);  // sessions start with an empty queue
   weight_.push_back(s.spec.weight);
@@ -117,8 +153,33 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
   depth_.push_back(0);
   dec_arrivals_.push_back(0.0);
   dec_quality_.push_back(0.0);
+  const std::size_t cap =
+      std::min(stability_tail_length(planned_slots), kMaxInitialRing);
+  ring_buf_.emplace_back(cap, 0.0);
+  SessionTally tally;
+  tally.ring = ring_buf_.back().data();
+  tally.ring_cap = static_cast<std::uint32_t>(cap);
+  tally.grow_at = ring_grow_step(cap);
+  tally_.push_back(tally);
   histo_add(std::bit_cast<std::uint64_t>(s.spec.weight));
   ++generation_;
+}
+
+void SessionStore::grow_ring(std::size_t i) {
+  SessionTally& t = tally_[i];
+  std::vector<double>& buf = ring_buf_[i];
+  // Growth triggers past 3x capacity, so the ring is full: rotating at the
+  // write head puts the oldest sample first, and the new half follows the
+  // newest.
+  const std::size_t cap = buf.size();
+  ARVIS_DCHECK_GE(t.totals.steps, cap);
+  ARVIS_DCHECK_LE(2 * cap, std::numeric_limits<std::uint32_t>::max());
+  std::rotate(buf.begin(), buf.begin() + t.ring_head, buf.end());
+  buf.resize(2 * cap, 0.0);
+  t.ring = buf.data();
+  t.ring_head = static_cast<std::uint32_t>(cap);
+  t.ring_cap = static_cast<std::uint32_t>(2 * cap);
+  t.grow_at = ring_grow_step(2 * cap);
 }
 
 void SessionStore::set_tier_limits(std::span<const std::uint32_t> limits) {
@@ -167,6 +228,15 @@ void SessionStore::resize_active(std::size_t n) {
     departure_[i] = 0;
     qos_[i] = std::numeric_limits<std::uint8_t>::max();
     limit_[i] = 0;  // a live ceiling is never < 1
+    const double poison = std::bit_cast<double>(kPoisonedSlotBits);
+    tally_[i] = SessionTally{
+        TraceTotals{poison, poison, poison, poison, poison, poison, poison,
+                    std::numeric_limits<std::size_t>::max()},
+        poison,
+        nullptr,  // trips drain's poisoned-tally DCHECK
+        std::numeric_limits<std::uint32_t>::max(),
+        0,
+        0};
   }
 #endif
   active_.resize(n);
@@ -180,6 +250,8 @@ void SessionStore::resize_active(std::size_t n) {
   departure_.resize(n);
   qos_.resize(n);
   limit_.resize(n);
+  tally_.resize(n);
+  ring_buf_.resize(n);
   depth_.resize(n);
   dec_arrivals_.resize(n);
   dec_quality_.resize(n);
@@ -216,7 +288,8 @@ Status SessionStore::validate() const {
   if (backlog_.size() != n || weight_.size() != n || ewma_.size() != n ||
       table_.size() != n || table_id_.size() != n || frames_.size() != n ||
       row_off_.size() != n || departure_.size() != n || qos_.size() != n ||
-      limit_.size() != n || depth_.size() != n ||
+      limit_.size() != n || tally_.size() != n || ring_buf_.size() != n ||
+      depth_.size() != n ||
       dec_arrivals_.size() != n || dec_quality_.size() != n) {
     return Status::FailedPrecondition(
         "SessionStore::validate: SoA mirrors not index-parallel with the "
@@ -266,6 +339,21 @@ Status SessionStore::validate() const {
     }
     if (limit_[i] < 1 || limit_[i] > width_) {
       return fail(i, "candidate ceiling outside [1, width]");
+    }
+    const SessionTally& t = tally_[i];
+    if (t.ring == nullptr || t.ring != ring_buf_[i].data() ||
+        t.ring_cap != ring_buf_[i].size()) {
+      return fail(i, "tally ring storage does not belong to this slot");
+    }
+    if (t.ring_cap < stability_tail_length(t.totals.steps)) {
+      return fail(i, "tally ring smaller than the stability tail");
+    }
+    if (t.ring_head >= t.ring_cap) {
+      return fail(i, "tally ring head out of range");
+    }
+    if (t.grow_at != ring_grow_step(t.ring_cap) ||
+        t.grow_at <= t.totals.steps) {
+      return fail(i, "tally ring growth point inconsistent with capacity");
     }
   }
   // The weight histogram must be exactly reproducible from the mirrors (it

@@ -31,6 +31,13 @@
 //           (kDecideLanes lane-parallel argmaxes over contiguous candidate
 //           rows); results fan out to members by group id.
 //
+// Session accounting is streaming: the drain phase folds each slot into a
+// per-session SessionTally (the five summary sums, peak/final backlog, last
+// quality, step count, and a ring of the last stability-tail backlogs) held
+// index-parallel with the active list, so finish() can summarize every
+// session exactly without a per-slot record. The cold record is touched at
+// lifecycle edges only; per-slot StepRecord traces are opt-in (TraceMode).
+//
 // Frame rows are addressed by a per-session *row cursor* advanced in the
 // drain phase (every active session drains every slot), replacing the
 // per-session `(slot - arrival) % frames` integer division of the PR 4
@@ -87,6 +94,37 @@ inline constexpr std::uint64_t kPoisonedSlotBits = 0x7FF8DEADBEEFDEADULL;
 /// validates spec.qos < kSloTiers long before activation.
 inline constexpr std::size_t kStoreQosTiers = 8;
 
+/// Which sessions keep a full per-slot StepRecord trace. Summaries are
+/// exact in either mode; kAll exists for oracles, replays and plots that
+/// need the slot-by-slot record, at 56 B per session·slot.
+enum class TraceMode : std::uint8_t {
+  kNone,  // streaming accounting only (the default)
+  kAll,   // every admitted session also records its full trace
+};
+
+/// A session's streaming accounting, folded by SessionStore::drain() once
+/// per slot: exactly what summarize_totals() needs. `ring` is a circular
+/// buffer of the last `ring_cap` backlog_begin samples (storage owned by
+/// the store while active, by the cold record once retired); it always
+/// holds the stability tail of the samples seen so far, doubling before it
+/// would overwrite one that tail still needs.
+struct SessionTally {
+  TraceTotals totals;
+  /// Quality of the last drained slot (valid once totals.steps > 0).
+  double last_quality = 0.0;
+  double* ring = nullptr;
+  std::uint32_t ring_head = 0;  // next write position
+  std::uint32_t ring_cap = 0;
+  /// Value of totals.steps + 1 at which the ring must double first.
+  std::size_t grow_at = 0;
+};
+
+/// The exact summary of a tally (summarize_totals over the unrolled ring
+/// tail); `scratch` is reused across calls. Precondition:
+/// tally.totals.steps > 0.
+TraceSummary summarize_tally(const SessionTally& tally,
+                             std::vector<double>& scratch);
+
 /// One streaming client as submitted to the server.
 struct SessionSpec {
   /// Frame statistics of the content this session streams (non-null;
@@ -123,8 +161,9 @@ struct HotSessionState {
   std::size_t row_off = 0;
 };
 
-/// The cold per-session record (slab resident; read at lifecycle edges and
-/// in the drain phase, never in the decide/schedule inner loops).
+/// The cold per-session record (slab resident; read at lifecycle edges,
+/// never in the per-slot phases — drain appends to `trace` under
+/// TraceMode::kAll only).
 struct ServingSession {
   ServingSession(std::size_t id_in, const SessionSpec& spec_in)
       : id(id_in),
@@ -137,7 +176,12 @@ struct ServingSession {
 
   std::size_t id;
   SessionSpec spec;
+  /// Full per-slot record; stays empty unless the store runs TraceMode::kAll.
   Trace trace;
+  /// The session's accounting, sealed here (with its ring storage) when it
+  /// retires from the active list; meaningless while it is active.
+  SessionTally tally;
+  std::vector<double> tail_ring;
   /// Private stream derived from the spec seed; reserved for stochastic
   /// controllers/arrival jitter so adding them later cannot perturb any
   /// other session's stream.
@@ -181,7 +225,8 @@ class FlatDecideTable {
 class SessionStore {
  public:
   /// `candidates` must be non-empty (the manager validates ordering/range).
-  SessionStore(std::vector<int> candidates, double v);
+  SessionStore(std::vector<int> candidates, double v,
+               TraceMode trace_mode = TraceMode::kNone);
 
   // --- slab ---------------------------------------------------------------
 
@@ -202,13 +247,17 @@ class SessionStore {
 
   // --- active list + hot mirrors ------------------------------------------
 
-  /// Marks `s` active at `slot` and mirrors its hot fields into the SoA
-  /// arrays (interning its cache's FlatDecideTable on first sight).
-  void activate(ServingSession& s, std::size_t slot);
+  /// Marks `s` active and mirrors its hot fields into the SoA arrays
+  /// (interning its cache's FlatDecideTable on first sight). `planned_slots`
+  /// is how long it is expected to stream; it sizes the stability-tail ring
+  /// (a session that outlives the plan grows its ring, so any value is
+  /// correct — a good one just never pays the growth).
+  void activate(ServingSession& s, std::size_t planned_slots);
 
   /// Compacts the active list, retiring every session `should_close`
-  /// selects (invoking `on_close(session)` for each) while keeping all SoA
-  /// mirrors index-parallel. Preserves relative order of survivors.
+  /// selects (sealing its tally into the cold record, then invoking
+  /// `on_close(session)`) while keeping all SoA mirrors index-parallel.
+  /// Preserves relative order of survivors.
   template <class ShouldClose, class OnClose>
   void retire_active(ShouldClose should_close, OnClose on_close) {
     const std::size_t n = active_.size();
@@ -217,6 +266,7 @@ class SessionStore {
       ServingSession& s = *active_[i];
       if (should_close(s)) {
         histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
+        seal(i, s);
         on_close(s);
         continue;
       }
@@ -241,6 +291,7 @@ class SessionStore {
     for (std::size_t i = 0; i < n; ++i) {
       if (departure_[i] <= slot) {
         histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
+        seal(i, *active_[i]);
         on_close(*active_[i]);
         continue;
       }
@@ -352,8 +403,10 @@ class SessionStore {
   /// Cross-checks every SoA mirror against the cold slab and the interned
   /// tables: index-parallel lengths, weight/departure bit-equality with the
   /// spec, table pointers/frame counts matching the session's interned
-  /// table, row cursors aligned and in range, the weight histogram exactly
-  /// reproducible from the mirrors, and no poisoned or duplicated slots.
+  /// table, row cursors aligned and in range, tally rings owned by their
+  /// slot and large enough for the stability tail, the weight histogram
+  /// exactly reproducible from the mirrors, and no poisoned or duplicated
+  /// slots.
   /// O(active + slab) — called from tests and the bench oracles, never from
   /// the slot loop (hot-path invariants are the DCHECKs above).
   [[nodiscard]] Status validate() const;
@@ -473,22 +526,25 @@ class SessionStore {
   }
 
   /// Drain bookkeeping for active session i after the scheduler granted
-  /// `share`: Lindley queue step, trace append, hot-mirror refresh, EWMA
-  /// update (alpha > 0 only), frame-row cursor advance, backlog dirty
-  /// tracking for the memoizer. Returns the bytes actually served.
+  /// `share`: Lindley queue step, tally fold (sums, peak, final backlog,
+  /// last quality, tail ring), trace append under TraceMode::kAll only,
+  /// hot-mirror refresh, EWMA update (alpha > 0 only), frame-row cursor
+  /// advance, backlog dirty tracking for the memoizer. Returns the bytes
+  /// actually served. In the default mode it reads and writes index-i SoA
+  /// state and the session's ring only — never the cold record — and
+  /// allocates nothing unless the session outlives its planned window.
   ///
   /// The Lindley step runs inline on the hot mirror — DiscreteQueue::step's
   /// arithmetic verbatim (clamp negatives, serve min(Q, b) before same-slot
   /// arrivals enter) — because the serving runtime observes a queue only
-  /// through the trace records and the served-bytes return: the cold queue
-  /// object's running statistics were per-session·slot work nobody read.
+  /// through the tally and the served-bytes return: the cold queue object's
+  /// running statistics were per-session·slot work nobody read.
   double drain(std::size_t i, std::size_t slot, double share, double alpha) {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(active_[i] != nullptr, "drain on poisoned slot");
     ARVIS_DCHECK_MSG(
         std::bit_cast<std::uint64_t>(backlog_[i]) != kPoisonedSlotBits,
         "drain on poisoned (released) slot");
-    ServingSession& s = *active_[i];
     StepRecord record;
     record.t = slot;
     record.depth = depth_[i];
@@ -505,11 +561,34 @@ class SessionStore {
       backlog_dirty_ = true;
     }
     backlog_[i] = record.backlog_end;
-    s.trace.add(record);
+
+    SessionTally& t = tally_[i];
+    ARVIS_DCHECK_MSG(t.ring != nullptr, "drain on poisoned tally");
+    if (t.totals.steps + 1 == t.grow_at) [[unlikely]] {
+      grow_ring(i);
+    }
+    t.ring[t.ring_head] = record.backlog_begin;
+    t.ring_head = t.ring_head + 1 == t.ring_cap ? 0 : t.ring_head + 1;
+    t.totals.add(record);
+    t.last_quality = record.quality;
+    if (trace_all_) active_[i]->trace.add(record);
+
     const std::size_t next = row_off_[i] + 2 * width_;
     row_off_[i] = next == frames_[i] * 2 * width_ ? 0 : next;
     if (alpha > 0.0) ewma_[i] = (1.0 - alpha) * ewma_[i] + alpha * served;
     return served;
+  }
+
+  /// True when drain() appends every session's StepRecord trace.
+  [[nodiscard]] bool traces_all() const noexcept { return trace_all_; }
+
+  /// Active sessions' tallies and QoS tiers (index-parallel with the active
+  /// list) — the snapshot-time SLO sampler reads these, not the cold slab.
+  [[nodiscard]] std::span<const SessionTally> tallies() const noexcept {
+    return tally_;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> qos_tiers() const noexcept {
+    return qos_;
   }
 
   // --- SoA spans for the schedule phase -----------------------------------
@@ -542,7 +621,21 @@ class SessionStore {
     departure_[to] = departure_[from];
     qos_[to] = qos_[from];
     limit_[to] = limit_[from];
+    tally_[to] = tally_[from];  // ring pointer stays valid: the buffer moves
+    ring_buf_[to] = std::move(ring_buf_[from]);
   }
+
+  /// Hands active session i's tally and ring storage to its cold record
+  /// (retirement; the slot is compacted over or released right after).
+  void seal(std::size_t i, ServingSession& s) noexcept {
+    s.tally = tally_[i];
+    s.tail_ring = std::move(ring_buf_[i]);
+  }
+
+  /// The tally ring's slow path: doubles session i's ring (rotated oldest
+  /// first) before the next write would overwrite a sample the stability
+  /// tail still needs. Runs only for sessions past their planned window.
+  void grow_ring(std::size_t i);
 
   void resize_active(std::size_t n);
   /// Index into tables_ of the (possibly newly) interned table for `cache`.
@@ -582,6 +675,7 @@ class SessionStore {
   std::vector<int> candidates_;
   double v_;
   std::size_t width_;  // candidates_.size()
+  bool trace_all_;     // TraceMode::kAll
   /// Per-QoS candidate ceiling applied at activation (all width_ when the
   /// degradation policy is idle). Fixed size; never reallocates.
   std::vector<std::uint32_t> tier_limit_;
@@ -600,6 +694,8 @@ class SessionStore {
   std::vector<std::size_t> departure_;     // spec departure slot (sweep key)
   std::vector<std::uint8_t> qos_;          // spec QoS tier (ceiling lookup)
   std::vector<std::uint32_t> limit_;       // candidate ceiling (<= width_)
+  std::vector<SessionTally> tally_;        // streaming accounting
+  std::vector<std::vector<double>> ring_buf_;  // tally_[i].ring's storage
 
   // Per-slot decide outputs (written by decide, read by schedule/drain).
   std::vector<int> depth_;

@@ -1,6 +1,8 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace arvis {
@@ -37,30 +39,40 @@ TraceSummary Trace::summarize_partial() const {
   if (steps_.empty()) {
     throw std::logic_error("Trace::summarize_partial: empty trace");
   }
-  TraceSummary summary;
-  double q_sum = 0.0, b_sum = 0.0, d_sum = 0.0, a_sum = 0.0, s_sum = 0.0;
-  for (const StepRecord& s : steps_) {
-    q_sum += s.quality;
-    b_sum += s.backlog_begin;
-    d_sum += s.depth;
-    a_sum += s.arrivals;
-    s_sum += s.service;
-    summary.peak_backlog = std::max(summary.peak_backlog, s.backlog_begin);
+  TraceTotals totals;
+  for (const StepRecord& s : steps_) totals.add(s);
+  std::vector<double> tail;
+  if (steps_.size() >= 8) {
+    const std::size_t len = stability_tail_length(steps_.size());
+    tail.reserve(len);
+    for (std::size_t i = steps_.size() - len; i < steps_.size(); ++i) {
+      tail.push_back(steps_[i].backlog_begin);
+    }
   }
-  const auto n = static_cast<double>(steps_.size());
-  summary.time_average_quality = q_sum / n;
-  summary.time_average_backlog = b_sum / n;
-  summary.mean_depth = d_sum / n;
-  summary.mean_arrivals = a_sum / n;
-  summary.mean_service = s_sum / n;
-  summary.final_backlog = steps_.back().backlog_end;
-  if (steps_.size() < 8) {
+  return summarize_totals(totals, tail);
+}
+
+TraceSummary summarize_totals(const TraceTotals& totals,
+                              std::span<const double> tail) {
+  if (totals.steps == 0) {
+    throw std::logic_error("summarize_totals: empty trace");
+  }
+  TraceSummary summary;
+  const auto n = static_cast<double>(totals.steps);
+  summary.time_average_quality = totals.quality_sum / n;
+  summary.time_average_backlog = totals.backlog_sum / n;
+  summary.mean_depth = totals.depth_sum / n;
+  summary.mean_arrivals = totals.arrivals_sum / n;
+  summary.mean_service = totals.service_sum / n;
+  summary.peak_backlog = totals.peak_backlog;
+  summary.final_backlog = totals.final_backlog;
+  summary.stability.peak = summary.peak_backlog;
+  summary.stability.time_average = summary.time_average_backlog;
+  if (totals.steps < 8) {
     // Too short for the regression-based stability classifier: report the
     // observables we do have and flag the summary partial so consumers show
     // "too-short" instead of a fabricated verdict.
     summary.partial = true;
-    summary.stability.peak = summary.peak_backlog;
-    summary.stability.time_average = summary.time_average_backlog;
     summary.stability.tail_mean = summary.time_average_backlog;
     return summary;
   }
@@ -71,9 +83,30 @@ TraceSummary Trace::summarize_partial() const {
   // every slot.
   const double zero_threshold = std::max(1.0, 2.0 * summary.mean_arrivals);
   const double divergence_slope = std::max(1.0, 0.02 * summary.mean_arrivals);
-  summary.stability = analyze_stability(backlog_series(), 1.0 / 3.0,
-                                        divergence_slope, zero_threshold);
+  const StabilityReport verdict = analyze_stability_tail(
+      tail, totals.steps - tail.size(), divergence_slope, zero_threshold);
+  summary.stability.verdict = verdict.verdict;
+  summary.stability.tail_slope = verdict.tail_slope;
+  summary.stability.tail_mean = verdict.tail_mean;
   return summary;
+}
+
+bool bit_identical(const TraceSummary& a, const TraceSummary& b) noexcept {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return same(a.time_average_quality, b.time_average_quality) &&
+         same(a.time_average_backlog, b.time_average_backlog) &&
+         same(a.final_backlog, b.final_backlog) &&
+         same(a.peak_backlog, b.peak_backlog) &&
+         same(a.mean_depth, b.mean_depth) &&
+         same(a.mean_arrivals, b.mean_arrivals) &&
+         same(a.mean_service, b.mean_service) && a.partial == b.partial &&
+         a.stability.verdict == b.stability.verdict &&
+         same(a.stability.tail_slope, b.stability.tail_slope) &&
+         same(a.stability.tail_mean, b.stability.tail_mean) &&
+         same(a.stability.peak, b.stability.peak) &&
+         same(a.stability.time_average, b.stability.time_average);
 }
 
 CsvTable Trace::to_csv_table() const {

@@ -2,7 +2,9 @@
 // every figure in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -36,6 +38,43 @@ struct TraceSummary {
   bool partial = false;
   StabilityReport stability;
 };
+
+/// Running totals of a trace, folded one record at a time. Both summary
+/// paths fold through add(), so a streaming accumulator and a stored trace
+/// round every sum identically (left to right, in slot order).
+struct TraceTotals {
+  double quality_sum = 0.0;
+  double backlog_sum = 0.0;  // of backlog_begin
+  double depth_sum = 0.0;
+  double arrivals_sum = 0.0;
+  double service_sum = 0.0;
+  double peak_backlog = 0.0;   // max backlog_begin, folded from 0
+  double final_backlog = 0.0;  // backlog_end of the last record
+  std::size_t steps = 0;
+
+  void add(const StepRecord& r) noexcept {
+    quality_sum += r.quality;
+    backlog_sum += r.backlog_begin;
+    depth_sum += r.depth;
+    arrivals_sum += r.arrivals;
+    service_sum += r.service;
+    peak_backlog = std::max(peak_backlog, r.backlog_begin);
+    final_backlog = r.backlog_end;
+    ++steps;
+  }
+};
+
+/// Summary from totals plus the stability tail: `tail` holds the last
+/// stability_tail_length(totals.steps) backlog_begin samples, oldest first
+/// (ignored, and may be empty, when steps < 8 — the summary is then
+/// partial). Throws std::logic_error when steps == 0. Backlogs are
+/// non-negative, so the folded peak equals the series maximum
+/// analyze_stability() would report.
+TraceSummary summarize_totals(const TraceTotals& totals,
+                              std::span<const double> tail);
+
+/// True when every field of `a` and `b` has the same bit pattern.
+bool bit_identical(const TraceSummary& a, const TraceSummary& b) noexcept;
 
 /// An append-only run record.
 class Trace {

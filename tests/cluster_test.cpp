@@ -74,6 +74,7 @@ void expect_traces_bit_identical(const Trace& a, const Trace& b) {
 TEST(EdgeClusterTest, K1RoundRobinReproducesSingleLinkBitForBit) {
   ServingConfig serving = base_serving_config();
   serving.steps = 150;
+  serving.trace_mode = TraceMode::kAll;  // compares per-slot traces
   serving.policy = SchedulerPolicy::kProportionalFair;
   const auto specs = churn_specs(9);
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
@@ -237,6 +238,7 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
 TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
   ServingConfig serving = base_serving_config();
   serving.steps = 100;
+  serving.trace_mode = TraceMode::kAll;  // compares per-slot traces
   serving.policy = SchedulerPolicy::kWorkConserving;
   const auto specs = churn_specs(12);
   const double capacity = 5.0 * shared_cache().workload(0).bytes(4);
@@ -336,6 +338,23 @@ TEST(EdgeClusterTest, Validation) {
   const std::vector<ChannelModel*> null_link{nullptr};
   EXPECT_THROW(run_cluster_scenario(config, {}, null_link),
                std::invalid_argument);
+}
+
+TEST(EdgeClusterTest, LinkCountIsBoundedByTheFlightEncoding) {
+  // Migration flight events pack from/to link ids into 10 bits each, so a
+  // cluster of kMaxClusterLinks links is the largest one that can run.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  static_assert(kMaxClusterLinks == 1024);
+  EdgeCluster largest(config, std::vector<double>(kMaxClusterLinks, 1e6));
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  largest.submit(spec);
+  largest.step(std::vector<double>(kMaxClusterLinks, 1e6));
+  EXPECT_EQ(largest.active_count(), 1U);
+  EXPECT_THROW(
+      EdgeCluster(config, std::vector<double>(kMaxClusterLinks + 1, 1e6)),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------- allocation freedom ----

@@ -50,6 +50,7 @@ ServingConfig stress_config(std::size_t threads) {
                                    4.0 * stress_cache().workload(0).bytes(5));
   config.admission.enabled = false;  // everyone in: maximise the fan-out
   config.threads = threads;
+  config.trace_mode = TraceMode::kAll;  // the stress oracles compare traces
   return config;
 }
 

@@ -204,6 +204,7 @@ TEST(EventLoopTest, TraceClosesEndSessionsEarly) {
 
   ReplayConfig config;
   config.cluster = replay_cluster_config(2);
+  config.cluster.serving.trace_mode = TraceMode::kAll;  // reads traces
   config.driver.snapshot_period = 50;
   const double capacity =
       3.0 * cheapest_load(config.cluster.serving.candidates);
@@ -462,6 +463,7 @@ TEST(EventLoopTest, SkipIdleMatchesDenseExecutionOnConstantChannels) {
 
   ReplayConfig config;
   config.cluster = replay_cluster_config(2);
+  config.cluster.serving.trace_mode = TraceMode::kAll;  // reads traces
   config.driver.snapshot_period = 100;
   const double capacity =
       3.0 * cheapest_load(config.cluster.serving.candidates);
@@ -806,6 +808,7 @@ TEST(EventLoopTest, ExternalCloseEndsASessionMidStreamAndCancelsPending) {
   config.v = calibrate_streaming_v(shared_cache(), candidates,
                                    4.0 * shared_cache().workload(0).bytes(5));
   config.admission.utilization_target = 1.0;
+  config.trace_mode = TraceMode::kAll;  // reads per-slot traces
   const double capacity = 8.0 * cheapest_load(candidates);
   ConstantChannel channel(capacity);
   SessionManager manager(config, capacity);
@@ -848,6 +851,7 @@ TEST(EventLoopTest, ExternalCloseEndsASessionMidStreamAndCancelsPending) {
 TEST(EventLoopTest, ExternalCloseOnAClusterClosesOnTheOwningLink) {
   ClusterConfig config = replay_cluster_config(4);
   config.serving.steps = 48;
+  config.serving.trace_mode = TraceMode::kAll;  // reads per-slot traces
   const double capacity =
       6.0 * cheapest_load(config.serving.candidates);
   ConstantChannel a(capacity), b(capacity);
@@ -908,6 +912,7 @@ TEST(EventLoopTest, DecideMemoCountersMatchTraceOracle) {
   // never bit-stabilizes, so the memo would (correctly) never hit.
   config.v = 1e-6;
   config.admission.utilization_target = 1.0;
+  config.trace_mode = TraceMode::kAll;  // the oracle replays the traces
   TelemetryRegistry registry;
   config.telemetry.mode = TelemetryMode::kCounters;
   config.telemetry.registry = &registry;
@@ -1041,6 +1046,7 @@ TEST(EventLoopTest, IncrementalScenarioFeedMatchesMaterializedReplay) {
 
     ReplayConfig replay;
     replay.cluster = replay_cluster_config(2);
+    replay.cluster.serving.trace_mode = TraceMode::kAll;  // compared
     replay.driver.snapshot_period = 50;
     const double load = cheapest_load(replay.cluster.serving.candidates);
     const double per_link = 2.5 * load;

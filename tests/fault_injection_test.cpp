@@ -708,6 +708,7 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   // on the tier ceiling, not just the spec inputs.
   ServingConfig config = base_serving();
   config.steps = 40;
+  config.trace_mode = TraceMode::kAll;  // reads per-slot depths
   config.degradation.enabled = true;
   config.degradation.enter_utilization = 0.01;  // brownout from slot 0
   config.degradation.exit_utilization = 0.005;

@@ -67,6 +67,7 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
   // per-slot records from the migration onward bit-identical to the twin's.
   ClusterConfig config;
   config.serving = base_serving();
+  config.serving.trace_mode = TraceMode::kAll;  // compares per-slot records
   const double load = cheapest_load(config.serving.candidates);
   const std::vector<double> means{4.0 * load, 4.0 * load};
   const std::vector<double> caps{4.0 * load, 4.0 * load};

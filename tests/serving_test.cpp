@@ -639,6 +639,7 @@ ServingConfig small_config() {
 
 TEST(SessionManagerTest, ChurnBookkeeping) {
   ServingConfig config = small_config();
+  config.trace_mode = TraceMode::kAll;  // reads per-slot traces
   const double load = cheapest_load(config.candidates);
   // Fits two cheapest-depth sessions, not three.
   ConstantChannel channel(2.5 * load);
@@ -741,6 +742,7 @@ TEST(SessionManagerTest, Validation) {
 
 TEST(SessionManagerTest, LateSubmitArrivesAtSubmissionSlot) {
   ServingConfig config = small_config();
+  config.trace_mode = TraceMode::kAll;  // reads per-slot traces
   ConstantChannel channel(1e6);
   SessionManager manager(config, channel.mean_capacity_bytes());
   for (int t = 0; t < 10; ++t) manager.step(channel.next_capacity_bytes());
@@ -786,6 +788,7 @@ TEST(SessionManagerTest, CapacityUsedEqualsBytesActuallyDrained) {
   // as used capacity and over-reported utilization.
   ServingConfig config = small_config();
   config.steps = 40;
+  config.trace_mode = TraceMode::kAll;  // sums the per-slot records
   ConstantChannel channel(1e9);  // never the bottleneck
   std::vector<SessionSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -814,6 +817,7 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   // a "-" row; now it carries a partial summary with a "too-short" verdict.
   ServingConfig config = small_config();
   config.steps = 30;
+  config.trace_mode = TraceMode::kAll;  // reads per-slot traces
   ConstantChannel channel(1e9);
   SessionSpec brief;
   brief.cache = &shared_cache();
@@ -895,6 +899,7 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
 TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
   ServingConfig config = small_config();
   config.steps = 150;
+  config.trace_mode = TraceMode::kAll;  // compares per-slot traces
   config.policy = SchedulerPolicy::kProportionalFair;
   const auto specs = churn_specs(9);
   const double capacity = 9.0 * shared_cache().workload(0).bytes(4);
@@ -968,6 +973,7 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
     c.steps = 200;
     c.policy = SchedulerPolicy::kProportionalFair;
     c.pf_ewma_window = window;
+    c.trace_mode = TraceMode::kAll;  // compares per-slot service
     std::vector<SessionSpec> specs(3);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       specs[i].cache = &shared_cache();
@@ -1005,6 +1011,7 @@ TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
   // per slot, same capacity draws.
   ServingConfig config = small_config();
   config.steps = 150;
+  config.trace_mode = TraceMode::kAll;  // compares per-slot traces
   config.policy = SchedulerPolicy::kProportionalFair;
   const auto specs = churn_specs(9);
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
@@ -1127,8 +1134,11 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   // some sessions on the wrong table; every decision is therefore checked
   // bit-for-bit against a twin store driven only by the scalar kernel.
   const ServingConfig config = small_config();
-  SessionStore store(config.candidates, config.v);   // decide_all (memoized)
-  SessionStore oracle(config.candidates, config.v);  // decide(i) (scalar)
+  // Both stores keep full traces: the comparison below is per slot.
+  SessionStore store(config.candidates, config.v,
+                     TraceMode::kAll);  // decide_all (memoized)
+  SessionStore oracle(config.candidates, config.v,
+                      TraceMode::kAll);  // decide(i) (scalar)
 
   std::size_t next_id = 0;
   const auto spawn = [&](const FrameStatsCache& cache, std::size_t count,
