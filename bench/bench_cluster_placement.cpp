@@ -11,7 +11,7 @@
 // Build & run:  ./build/bench/bench_cluster_placement [--smoke | --json]
 //
 // --smoke runs one small configuration plus two hard invariant checks
-// (parallel decide == serial bit-for-bit; least-loaded admits at least as
+// (sharded slot loop == serial bit-for-bit; least-loaded admits at least as
 // many as round-robin on the skewed burst) and exits non-zero on violation —
 // cheap enough for CI, so the placement sweep cannot silently rot.
 // --json additionally writes BENCH_cluster_placement.json (wall time per
@@ -139,7 +139,8 @@ int run_smoke() {
     ++failures;
   }
 
-  // Invariant 2: parallel decide fan-out is bit-identical to serial.
+  // Invariant 2: the sharded slot loop (2 threads) is bit-identical to
+  // serial.
   point.placement = PlacementPolicy::kLeastLoaded;
   point.threads = 2;
   const ClusterResult parallel = run_point(point, ms);

@@ -13,6 +13,7 @@
 #include <ctime>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -100,6 +101,59 @@ inline std::string read_file_or_empty(const std::string& path) {
   }
   std::fclose(f);
   return content;
+}
+
+/// First line of `command`'s stdout (trailing newline stripped); empty when
+/// the command cannot run or prints nothing.
+inline std::string command_first_line(const char* command) {
+  std::FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buf[256] = {};
+  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+  pclose(pipe);
+  std::string line = got ? buf : "";
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// Where and how a trajectory entry was measured, as a raw JSON member
+/// ("provenance":{...}) for write_bench_json's `extra`: source revision
+/// (`git describe --always --dirty` in the working directory), compiler,
+/// optimization and NDEBUG state, hardware threads and CPU model.
+inline std::string provenance_json() {
+  std::string commit =
+      command_first_line("git describe --always --dirty 2>/dev/null");
+  if (commit.empty()) commit = "unknown";
+  std::string cpu = "unknown";
+  const std::string cpuinfo = read_file_or_empty("/proc/cpuinfo");
+  const std::size_t key = cpuinfo.find("model name");
+  const std::size_t colon = cpuinfo.find(": ", key);
+  if (key != std::string::npos && colon != std::string::npos) {
+    cpu = cpuinfo.substr(colon + 2, cpuinfo.find('\n', colon) - colon - 2);
+  }
+#if defined(__clang__)
+  const char* compiler_id = "Clang ";
+#elif defined(__GNUC__)
+  const char* compiler_id = "GNU ";
+#else
+  const char* compiler_id = "";
+#endif
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  const char* flags = "optimized,NDEBUG";
+#elif defined(__OPTIMIZE__)
+  const char* flags = "optimized";
+#else
+  const char* flags = "unoptimized";
+#endif
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "\"provenance\":{\"commit\":\"%s\",\"compiler\":\"%s%s\","
+                "\"flags\":\"%s\",\"nproc\":%u,\"cpu_model\":\"%s\"}",
+                commit.c_str(), compiler_id, __VERSION__, flags,
+                std::thread::hardware_concurrency(), cpu.c_str());
+  return buf;
 }
 
 /// Appends a dated trajectory entry to the bench's JSON at `path` (default:

@@ -33,8 +33,8 @@
 //      (each link's incremental engine + the cluster placement path) — the
 //      incremental decide engine, the blocked kernel and the scheduler fast
 //      paths are exact memoization, zero behaviour;
-//   2. executor determinism: threads=2 decide fan-out (the scalar kernel)
-//      is bit-identical to the serial memoized engine;
+//   2. shard determinism: a 4-link cluster whose links run their slot loops
+//      as executor shards at 2 and 4 threads is bit-identical to serial;
 //   3. perf budget: dense@10k may not regress more than 25% against the
 //      last committed BENCH_hot_path.json trajectory entry (override the
 //      factor with BENCH_HOT_PATH_BUDGET_FACTOR for foreign hardware).
@@ -458,41 +458,58 @@ bool budget_ok(double* measured_out, double* budget_out) {
   return m.ns_per_session_slot <= *budget_out;
 }
 
-/// threads=2 decide fan-out must be bit-identical to serial.
-bool parallel_matches_serial() {
+/// The sharded cluster (each link's decide, schedule and drain on an
+/// executor worker) must be bit-identical to the serial run at 2 and 4
+/// threads.
+bool sharded_matches_serial() {
   const auto run = [&](std::size_t threads) {
-    ServingConfig config = base_config(120);
-    config.threads = threads;
-    config.trace_mode = TraceMode::kAll;  // compared slot by slot below
+    ClusterConfig config;
+    config.serving = base_config(120);
+    config.serving.threads = threads;
+    config.serving.trace_mode = TraceMode::kAll;  // compared slot by slot
+    config.placement = PlacementPolicy::kRoundRobin;
     const double load = AdmissionController::cheapest_depth_load(
-        hot_cache(), config.candidates);
-    const double capacity = 64.0 * load * 1.5;
+        hot_cache(), config.serving.candidates);
+    std::vector<ConstantChannel> channels;
+    channels.reserve(4);
+    std::vector<ChannelModel*> channel_ptrs;
+    for (std::size_t k = 0; k < 4; ++k) {
+      channels.emplace_back(16.0 * load * (1.3 + 0.1 * static_cast<double>(k)));
+      channel_ptrs.push_back(&channels.back());
+    }
     std::vector<SessionSpec> specs(64);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       specs[i].cache = &hot_cache();
       specs[i].seed = i;
       specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
     }
-    ConstantChannel channel(capacity);
-    return run_serving_scenario(config, specs, channel);
+    return run_cluster_scenario(config, specs, channel_ptrs);
   };
-  const ServingResult serial = run(1);
-  const ServingResult parallel = run(2);
-  if (serial.sessions.size() != parallel.sessions.size()) return false;
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace& a = serial.sessions[i].trace;
-    const Trace& b = parallel.sessions[i].trace;
-    if (a.size() != b.size()) return false;
-    for (std::size_t t = 0; t < a.size(); ++t) {
-      if (a.at(t).depth != b.at(t).depth ||
-          a.at(t).service != b.at(t).service ||
-          a.at(t).backlog_end != b.at(t).backlog_end) {
-        return false;
+  const ClusterResult serial = run(1);
+  for (const std::size_t threads : {2UL, 4UL}) {
+    const ClusterResult sharded = run(threads);
+    if (serial.sessions.size() != sharded.sessions.size()) return false;
+    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
+      if (serial.sessions[i].link != sharded.sessions[i].link) return false;
+      const Trace& a = serial.sessions[i].session.trace;
+      const Trace& b = sharded.sessions[i].session.trace;
+      if (a.size() != b.size()) return false;
+      for (std::size_t t = 0; t < a.size(); ++t) {
+        if (a.at(t).depth != b.at(t).depth ||
+            a.at(t).service != b.at(t).service ||
+            a.at(t).backlog_end != b.at(t).backlog_end) {
+          return false;
+        }
       }
     }
+    const FleetMetrics& x = serial.metrics.fleet;
+    const FleetMetrics& y = sharded.metrics.fleet;
+    if (x.capacity_used != y.capacity_used ||
+        x.quality_fairness != y.quality_fairness) {
+      return false;
+    }
   }
-  return serial.fleet.capacity_used == parallel.fleet.capacity_used &&
-         serial.fleet.quality_fairness == parallel.fleet.quality_fairness;
+  return true;
 }
 
 int run_smoke() {
@@ -521,29 +538,29 @@ int run_smoke() {
   const bool oracle_cluster = cluster_oracle_matches(
       SchedulerPolicy::kDeficitRoundRobin, 3, 12, 160, "cluster-k3/drr");
   if (!oracle_cluster) ++failures;
-  const bool parallel_ok = parallel_matches_serial();
-  if (!parallel_ok) ++failures;
+  const bool sharded_ok = sharded_matches_serial();
+  if (!sharded_ok) ++failures;
   double budget_measured = 0.0, budget_limit = 0.0;
   const bool budget = budget_ok(&budget_measured, &budget_limit);
   if (!budget) ++failures;
 
   std::printf(
       "smoke: oracle wc=%d pf+ewma=%d drr=%d churn_wc=%d churn_wp=%d "
-      "cluster=%d, parallel==serial=%d, budget=%d\n",
+      "cluster=%d, sharded==serial=%d, budget=%d\n",
       oracle_wc ? 1 : 0, oracle_pf ? 1 : 0, oracle_drr ? 1 : 0,
       oracle_churn_wc ? 1 : 0, oracle_churn_wp ? 1 : 0, oracle_cluster ? 1 : 0,
-      parallel_ok ? 1 : 0, budget ? 1 : 0);
+      sharded_ok ? 1 : 0, budget ? 1 : 0);
   std::printf(
       "SMOKE_JSON {\"bench\":\"hot_path\",\"oracle_work_conserving\":%s,"
       "\"oracle_pf_ewma\":%s,\"oracle_drr\":%s,\"oracle_churn_wc\":%s,"
       "\"oracle_churn_wp\":%s,\"oracle_cluster_drr\":%s,"
-      "\"parallel_bit_identical\":%s,\"budget_ok\":%s,"
+      "\"sharded_bit_identical\":%s,\"budget_ok\":%s,"
       "\"budget_measured_ns\":%.3f,\"budget_limit_ns\":%.3f,"
       "\"failures\":%d}\n",
       oracle_wc ? "true" : "false", oracle_pf ? "true" : "false",
       oracle_drr ? "true" : "false", oracle_churn_wc ? "true" : "false",
       oracle_churn_wp ? "true" : "false", oracle_cluster ? "true" : "false",
-      parallel_ok ? "true" : "false", budget ? "true" : "false",
+      sharded_ok ? "true" : "false", budget ? "true" : "false",
       budget_measured, budget_limit, failures);
   std::printf(failures == 0 ? "smoke OK\n" : "smoke: %d failure(s)\n",
               failures);

@@ -79,12 +79,9 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
     throw std::invalid_argument(
         "EdgeCluster: more links than the flight encoding can name (1024)");
   }
-  // The links run their phases inline — the cluster's executor is the only
-  // fan-out point — so give each manager a serial (no-pool) executor. Each
-  // link gets its own telemetry lane: counters under "link<k>/", spans on
-  // Chrome tid k.
+  // Each link is one shard of step()'s executor loop and gets its own
+  // telemetry lane: counters under "link<k>/", spans on Chrome tid k.
   ServingConfig link_config = config_.serving;
-  link_config.threads = 1;
   links_.reserve(link_mean_capacity_bytes.size());
   for (double mean : link_mean_capacity_bytes) {
     link_config.telemetry.tid = static_cast<std::uint32_t>(links_.size());
@@ -99,6 +96,7 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
   handover_score_.assign(links_.size(), 0.0);
   prev_reserved_.assign(links_.size(), 0.0);
   caps_scratch_.assign(links_.size(), 0.0);
+  reports_.assign(links_.size(), SessionManager::SlotReport{});
   if (config_.handover.enabled) {
     const HandoverPolicy& hp = config_.handover;
     if (!std::isfinite(hp.enter_score) || !std::isfinite(hp.exit_score) ||
@@ -662,45 +660,28 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
   //     lands on the displaced queue and re-enters placement next slot.
   if (config_.handover.enabled) evaluate_handover();
 
-  // 3. Decide. Serial executor: each link runs its incremental memoized
-  //    engine inline (group by exact inputs, blocked argmax per distinct
-  //    key). Parallel executor: all links' sessions fan out per (link,
-  //    index) pair through the one executor, each pair owning disjoint
-  //    state. Both produce bit-identical decisions for any thread count.
-  if (executor_.threads() > 1) {
-    const PhaseSpan span(tracer_, Phase::kDecide, slot_, kClusterTid);
-    decide_map_.clear();
-    for (std::size_t k = 0; k < links_.size(); ++k) {
-      const std::size_t width = links_[k]->decide_width();
-      for (std::size_t i = 0; i < width; ++i) {
-        decide_map_.emplace_back(static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(i));
-      }
-    }
-    executor_.parallel_for(decide_map_.size(), [this](std::size_t j) {
-      const auto [k, i] = decide_map_[j];
-      links_[k]->decide_session(i);
-    });
-  } else {
-    for (auto& link : links_) link->decide_all_sessions();
-  }
-
-  // 4. Each link schedules and drains with its own capacity; the cluster
-  //    records the fleet-wide slot totals. The fault plane shapes the
-  //    effective capacity here: a downed link offers zero (so utilization
-  //    never counts capacity nobody could use) and a faded link offers its
-  //    scaled draw. ×1.0 is the bitwise multiply identity, so with no
-  //    faults the totals are bit-for-bit the pre-fault-plane ones.
+  // 3. Shards. Each link runs its memoized decide engine, then schedules and
+  //    drains with its own capacity, as one index of the executor loop; a
+  //    link touches only its own state, so any thread count is bit-identical
+  //    to serial. The fault plane shapes the effective capacity here: a
+  //    downed link offers zero (so utilization never counts capacity nobody
+  //    could use) and a faded link offers its scaled draw. ×1.0 is the
+  //    bitwise multiply identity, so with no faults the totals are bit for
+  //    bit the pre-fault-plane ones.
   for (std::size_t k = 0; k < links_.size(); ++k) {
     caps_scratch_[k] = link_down_[k] != 0
                            ? 0.0
                            : link_capacity_bytes[k] * link_effective_scale_[k];
   }
+  executor_.parallel_for(links_.size(), [this](std::size_t k) {
+    links_[k]->decide_phase();
+    reports_[k] = links_[k]->finish_slot(caps_scratch_[k]);
+  });
+
+  // 4. After the barrier: fleet totals summed in link order.
   double offered = 0.0, used = 0.0;
   std::size_t active = 0;
-  for (std::size_t k = 0; k < links_.size(); ++k) {
-    const SessionManager::SlotReport report =
-        links_[k]->finish_slot(caps_scratch_[k]);
+  for (const SessionManager::SlotReport& report : reports_) {
     offered += report.capacity_offered;
     used += report.capacity_used;
     active += report.active_sessions;

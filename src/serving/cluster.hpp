@@ -15,16 +15,18 @@
 //      on any link);
 //   2. the cluster places this slot's arrivals: rank links by the placement
 //      policy, try admission in rank order (first choice, then up to
-//      spill_limit spills), refuse when every tried link rejects;
-//   3. decide: all links' active sessions fan out through ONE deterministic
-//      ParallelExecutor (each session touches only its own state, so any
-//      thread count is bit-identical to serial); each decide is the link's
-//      flattened SoA kernel (SessionStore::decide), so the fan-out walks
-//      dense arrays, not heap-scattered session objects;
-//   4. every link schedules + drains with its own capacity draw — the
-//      scheduler consumes the link store's SoA spans in place (no
-//      demand-struct copy-in) — and per-link ServerMetrics roll up into the
-//      cluster fleet view.
+//      spill_limit spills), refuse when every tried link rejects; then
+//      (2b) the handover policy migrates sessions between links. Steps 1-2b
+//      are serial: they are the only acts that cross links;
+//   3. shards: every link runs the rest of its slot loop — the memoized
+//      decide engine, then schedule + drain with its own capacity draw — as
+//      one index of a ParallelExecutor loop. A link's slot touches only that
+//      link's state (the paper's controllers read only their own queue and
+//      each link divides only its own capacity), so any thread count is
+//      bit-identical to serial;
+//   4. after the barrier, the per-link slot reports are summed in link order
+//      into the cluster fleet view (the same additions in the same order for
+//      any thread count).
 //
 // With K = 1 and round-robin placement the cluster reproduces
 // run_serving_scenario bit for bit (tested): the single-link runtime is the
@@ -38,6 +40,7 @@
 
 #include "common/status.hpp"
 #include "net/channel.hpp"
+#include "serving/executor.hpp"
 #include "serving/session_manager.hpp"
 
 namespace arvis {
@@ -101,8 +104,8 @@ inline constexpr std::size_t kMaxClusterLinks = 1024;
 
 struct ClusterConfig {
   /// Per-link runtime configuration (scheduler policy, candidates, V,
-  /// admission target). `serving.threads` sizes the *cluster's* decide
-  /// executor; the per-link managers run their phases inline.
+  /// admission target). `serving.threads` sizes the cluster's shard
+  /// executor; each link is one shard.
   ServingConfig serving;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   /// Extra links an arrival may try after its first choice rejects it
@@ -210,7 +213,7 @@ struct ClusterResult {
 /// The sharded serving runtime. Submit sessions up front (or between steps),
 /// then drive it one slot at a time with one capacity draw per link;
 /// finish() closes the books. Not thread-safe — one cluster per run; the
-/// parallelism is inside step().
+/// parallelism is inside step(), one shard per link.
 class EdgeCluster {
  public:
   /// `link_mean_capacity_bytes[k]` calibrates link k's admission controller
@@ -394,7 +397,7 @@ class EdgeCluster {
   /// The HandoverPolicy slot pass: score links, update hysteresis state,
   /// drain sessions off links in handover, and (when configured) rebalance
   /// one worst-served session onto a link a departure just freed. Runs
-  /// between placement and the decide phase; called only when the policy is
+  /// between placement and the shard loop; called only when the policy is
   /// enabled.
   void evaluate_handover();
   /// Shared migration mechanics behind migrate_session and the policy
@@ -410,6 +413,8 @@ class EdgeCluster {
   [[nodiscard]] std::size_t owner_of(std::size_t runtime_id) const;
 
   ClusterConfig config_;
+  /// Runs the per-link shards of step(); at most min(threads, links) of its
+  /// workers are busy in a slot.
   ParallelExecutor executor_;
   std::vector<std::unique_ptr<SessionManager>> links_;
   std::vector<std::unique_ptr<Entry>> entries_;  // submission order
@@ -426,8 +431,9 @@ class EdgeCluster {
   std::size_t spills_ = 0;
   std::size_t placement_rejects_ = 0;
   // Scratch reused across slots.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> decide_map_;
   std::vector<std::size_t> rank_;
+  /// Each shard's slot report, written by its own executor index.
+  std::vector<SessionManager::SlotReport> reports_;
   // -- Fault plane (all vectors preallocated; idle cost is one branch per
   // link per slot and a ×1.0 capacity multiply, which is bitwise identity) --
   std::vector<std::uint8_t> link_down_;  // 1 = down
@@ -465,9 +471,10 @@ class EdgeCluster {
   std::size_t migrations_aborted_ = 0;
   std::size_t link_degrade_events_ = 0;
   // Telemetry (see session_manager.hpp for the null-pointer cost model).
-  // Links carry their own per-link instruments (tid = link index); these are
-  // the cluster-level ones: placement outcomes under "cluster/", spans on
-  // the kClusterTid lane.
+  // Links carry their own per-link instruments (tid = link index), each
+  // written only by that link's shard; these are the cluster-level ones,
+  // written only by the serial steps: placement outcomes under "cluster/",
+  // spans on the kClusterTid lane.
   PhaseTracer* tracer_ = nullptr;
   TelemetryCounter* c_placed_ = nullptr;
   TelemetryCounter* c_spills_ = nullptr;

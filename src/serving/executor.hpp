@@ -1,11 +1,13 @@
 // Deterministic fan-out over an index range on a persistent thread pool.
 //
-// The serving runtime parallelizes two shapes of work: the per-slot decide
-// phase across independent sessions, and whole replicate seeds across cores.
+// The serving runtime parallelizes two shapes of work: per-link shards of
+// the cluster slot loop (index k runs link k's decide, schedule and drain;
+// EdgeCluster::step), and whole replicate seeds across cores (replicate).
 // Both are "each index owns its slot" loops — body(i) reads and writes only
-// state owned by index i — so results are bit-identical for any thread count
-// or interleaving, which tests assert (parallel == serial). Determinism is a
-// contract on the *caller's* body, not something the pool can enforce.
+// state owned by index i — so results are bit-identical for any thread
+// count or interleaving, which tests assert (parallel == serial).
+// Determinism is a contract on the *caller's* body, not something the pool
+// can enforce.
 #pragma once
 
 #include <condition_variable>

@@ -13,7 +13,6 @@ SessionManager::SessionManager(const ServingConfig& config,
       mean_capacity_bytes_(mean_capacity_bytes),
       admission_(config.admission, mean_capacity_bytes),
       scheduler_(make_scheduler(config.policy)),
-      executor_(config.threads),
       store_(config.candidates, config.v, config.trace_mode) {
   if (config_.steps == 0) {
     throw std::invalid_argument("SessionManager: steps must be > 0");
@@ -464,8 +463,6 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
 
 void SessionManager::step(double capacity_bytes) {
   begin_slot();
-  // Decide phase: the incremental engine when serial, the per-session
-  // executor fan-out when parallel — bit-identical decisions either way.
   decide_phase();
   finish_slot(capacity_bytes);
 }

@@ -12,8 +12,7 @@
 //   1. close this slot's departures, then admit its arrivals (so a
 //      same-slot arrival sees the freed link reservation);
 //   2. decide: every active session runs its own controller on local state
-//      (fanned out across the executor — sessions are independent, so the
-//      result is bit-identical for any thread count);
+//      (the memoized engine: one argmax per distinct decide key);
 //   3. schedule: the EdgeScheduler divides the slot's capacity;
 //   4. drain: queues advance, per-session tallies and fleet metrics record.
 //
@@ -36,7 +35,6 @@
 #include "common/status.hpp"
 #include "net/channel.hpp"
 #include "serving/admission.hpp"
-#include "serving/executor.hpp"
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session_store.hpp"
@@ -88,7 +86,11 @@ struct ServingConfig {
   /// calibrate with calibrate_streaming_v).
   double v = 0.0;
   AdmissionConfig admission;
-  /// Executor width for the decide phase; 1 = serial, 0 = all cores.
+  /// Shard workers of an EdgeCluster: each link runs its whole slot loop
+  /// (decide, schedule, drain) as one shard, so at most min(threads, links)
+  /// workers are busy; 1 = serial, 0 = all cores. A lone SessionManager is
+  /// one shard and always runs serially. Results are bit-identical for any
+  /// value.
   std::size_t threads = 1;
   /// Averaging window (slots) of the per-session served-bytes EWMA fed to
   /// the proportional-fair scheduler: alpha = 1 / window. 0 (default)
@@ -146,7 +148,8 @@ struct ServingResult {
 
 /// The serving runtime. Submit sessions up front (or between steps), then
 /// drive it one slot at a time; finish() closes the books. Not thread-safe —
-/// one manager per run; the parallelism is inside step().
+/// one manager per run. A manager is one link, i.e. one shard of an
+/// EdgeCluster, and runs its slot loop on the calling thread.
 class SessionManager {
  public:
   /// `mean_capacity_bytes` calibrates admission (ChannelModel::
@@ -166,17 +169,18 @@ class SessionManager {
   std::size_t submit(const SessionSpec& spec);
 
   /// Advances one slot, consuming `capacity_bytes` of link capacity.
-  /// Equivalent to begin_slot() + decide over all active sessions +
+  /// Equivalent to begin_slot() + decide_phase() +
   /// finish_slot(capacity_bytes).
   void step(double capacity_bytes);
 
   // --- Phase API -----------------------------------------------------------
   // step() split open so an external driver (EdgeCluster) can interleave the
-  // phases of several links: close/admit everywhere, place cross-link
-  // arrivals, fan the decide work of *all* links through one executor, then
-  // drain each link with its own capacity draw. Call order per slot:
-  // begin_slot() [+ try_place()*] -> decide_session(i) for i in
-  // [0, decide_width()) -> finish_slot(). step() composes exactly these.
+  // phases of several links: close/admit on every link, place cross-link
+  // arrivals serially, then run each link's decide_phase() + finish_slot()
+  // as one shard on the cluster's executor. Call order per slot:
+  // begin_slot() [+ try_place()*] -> decide_phase() -> finish_slot().
+  // step() composes exactly these. Between begin_slot() and the barrier
+  // after finish_slot(), a link touches only its own state.
 
   /// Link-level outcome of one slot, returned by finish_slot() so external
   /// drivers can aggregate fleet metrics across links.
@@ -191,38 +195,17 @@ class SessionManager {
   /// (so a same-slot arrival sees the freed link reservation).
   void begin_slot();
 
-  /// Active sessions this slot (the decide fan-out width).
+  /// Active sessions this slot (the width of the decide phase).
   [[nodiscard]] std::size_t decide_width() const noexcept {
     return store_.active_count();
   }
 
-  /// Runs active session i's local controller for the current slot: the
-  /// scalar flattened drift-plus-penalty kernel over the session's
-  /// precomputed candidate row. Touches only index-i state: safe to fan out
-  /// across any executor, and the result is bit-identical for any thread
-  /// count. Allocation-free, virtual-dispatch-free, log10-free.
-  void decide_session(std::size_t i) { store_.decide(i); }
-
-  /// The whole decide phase for this slot: the incremental memoized engine
-  /// (group by exact inputs, blocked argmax per distinct key, fan out) when
-  /// the manager's executor is serial, the scalar per-session fan-out
-  /// otherwise. Both produce bit-identical decisions (the engine is exact
-  /// memoization, asserted by the bench_hot_path oracle and the
-  /// parallel==serial test).
+  /// The decide phase: every active session's local controller for this
+  /// slot, through the store's incremental memoized engine (group by exact
+  /// inputs, blocked argmax per distinct key, fan out). Bit-identical to the
+  /// scalar per-session kernel SessionStore::decide (asserted by the
+  /// bench_hot_path oracle and the store-level memo tests).
   void decide_phase() {
-    if (executor_.threads() > 1) {
-      const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
-      executor_.parallel_for(store_.active_count(),
-                             [this](std::size_t i) { decide_session(i); });
-    } else {
-      decide_all_sessions();
-    }
-  }
-
-  /// The serial incremental decide engine, for external drivers that manage
-  /// their own fan-out (EdgeCluster runs each link's engine inline when its
-  /// executor is serial).
-  void decide_all_sessions() {
     const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
     store_.decide_all();
     // Memoization outcome, sampled once per decide (never per session).
@@ -393,7 +376,6 @@ class SessionManager {
   double mean_capacity_bytes_ = 0.0;
   AdmissionController admission_;
   std::unique_ptr<EdgeScheduler> scheduler_;
-  ParallelExecutor executor_;
   /// The session arena: cold slab + hot SoA mirrors (see session_store.hpp).
   SessionStore store_;
   // Not-yet-arrived sessions, sorted by (due slot, id); the prefix before

@@ -389,6 +389,15 @@ Status SessionStore::validate() const {
           "SessionStore::validate: weight histogram count diverged");
     }
   }
+  // The memo hash is sized by distinct keys: a power of two holding every
+  // group of the last grouping at load <= 1 / kMemoLoadInverse.
+  if (memo_.empty() ? !group_rep_.empty()
+                    : (!std::has_single_bit(memo_.size()) ||
+                       memo_.size() < kMemoLoadInverse * group_rep_.size())) {
+    return Status::FailedPrecondition(
+        "SessionStore::validate: decide memo capacity is not a power of two "
+        ">= 8 x groups");
+  }
   // Decide-group structures only claim validity while the membership they
   // were built against is current.
   if (groups_generation_ == generation_ && !group_rep_.empty()) {
@@ -414,15 +423,11 @@ void SessionStore::rebuild_groups() {
   group_limit_.clear();
   group_of_.resize(n);
 
-  // Size the scratch hash at >= 2n slots (power of two, grown once).
-  std::size_t cap = memo_.size();
-  if (cap < 2 * n) {
-    cap = 64;
-    while (cap < 2 * n) cap <<= 1;
-    memo_.assign(cap, MemoSlot{});
-    memo_epoch_ = 0;
-  }
-  const std::size_t mask = memo_.size() - 1;
+  // The scratch hash is sized by distinct keys, not sessions (a fleet
+  // collapses to a few dozen keys): it starts at kMemoMinSlots and doubles
+  // mid-scan whenever the load would pass 1 / kMemoLoadInverse.
+  if (memo_.empty()) memo_.assign(kMemoMinSlots, MemoSlot{});
+  std::size_t mask = memo_.size() - 1;
   const std::uint64_t epoch = ++memo_epoch_;
 
   std::uint64_t prev_key = 0;
@@ -452,6 +457,10 @@ void SessionStore::rebuild_groups() {
         group_rep_.push_back(static_cast<std::uint32_t>(i));
         group_row_.push_back(table_[i] + row_off_[i]);
         group_limit_.push_back(lim);
+        if (kMemoLoadInverse * group_rep_.size() > memo_.size()) {
+          grow_memo(epoch);
+          mask = memo_.size() - 1;
+        }
         break;
       }
       if (slot.row_key == key && slot.backlog_bits == bits &&
@@ -471,6 +480,23 @@ void SessionStore::rebuild_groups() {
 
   groups_generation_ = generation_;
   backlog_dirty_ = false;
+}
+
+void SessionStore::grow_memo(std::uint64_t epoch) {
+  // Fresh slots carry epoch 0, which no scan ever stamps, so the doubled
+  // table starts empty; the groups minted so far are re-inserted from their
+  // representatives (the keys they were minted under).
+  memo_.assign(2 * memo_.size(), MemoSlot{});
+  const std::size_t mask = memo_.size() - 1;
+  for (std::size_t g = 0; g < group_rep_.size(); ++g) {
+    const std::size_t rep = group_rep_[g];
+    const std::uint64_t key = row_key(rep);
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(backlog_[rep]);
+    std::size_t p = mix_key(key, bits, group_limit_[g]) & mask;
+    while (memo_[p].epoch == epoch) p = (p + 1) & mask;
+    memo_[p] = MemoSlot{epoch, key, bits, static_cast<std::uint32_t>(g),
+                        group_limit_[g]};
+  }
 }
 
 void SessionStore::run_blocked_kernel() {

@@ -460,9 +460,10 @@ class SessionStore {
   // --- per-slot kernels ---------------------------------------------------
 
   /// The scalar flattened decide kernel: drift-plus-penalty argmax over
-  /// active session i's precomputed candidate row for this slot. Touches
-  /// only index-i state — safe to fan out across any executor — and performs
-  /// no allocation, no virtual dispatch, no transcendental math, no integer
+  /// active session i's precomputed candidate row for this slot. The
+  /// reference the oracles hold decide_all() to; the runtime itself decides
+  /// only through decide_all(). Touches only index-i state and performs no
+  /// allocation, no virtual dispatch, no transcendental math, no integer
   /// division (the frame row is a cursor advanced by drain()).
   void decide(std::size_t i) noexcept {
     ARVIS_DCHECK_LT(i, active_.size());
@@ -495,16 +496,22 @@ class SessionStore {
 
   /// The incremental decide engine: one call decides every active session
   /// for this slot, bit-for-bit identical to calling decide(i) for each i
-  /// (asserted by the bench_hot_path oracle and the parallel==serial test,
-  /// whose threads>1 path still runs the scalar kernel). Groups sessions by
-  /// exact decide inputs, reuses the grouping across slots while the dirty
-  /// tracking proves it unchanged, and runs the blocked kernel once per
-  /// distinct key. Serial by design — the grouping pass is a dependent scan.
+  /// (asserted by the bench_hot_path oracle and the store-level memo
+  /// tests). Groups sessions by exact decide inputs, reuses the grouping
+  /// across slots while the dirty tracking proves it unchanged, and runs the
+  /// blocked kernel once per distinct key. Serial by design — the grouping
+  /// pass is a dependent scan; a cluster parallelizes across stores (one
+  /// shard per link), never inside one.
   void decide_all();
 
   /// Distinct decide keys of the last decide_all() (diagnostics/benches).
   [[nodiscard]] std::size_t last_decide_groups() const noexcept {
     return group_rep_.size();
+  }
+  /// Slots of the decide memo hash: a power of two, at least 8 x the
+  /// groups of the last grouping, 0 before the first (diagnostics/tests).
+  [[nodiscard]] std::size_t memo_capacity() const noexcept {
+    return memo_.size();
   }
   /// True when the last decide_all() reused the previous slot's grouping.
   [[nodiscard]] bool last_decide_reused_groups() const noexcept {
@@ -641,6 +648,9 @@ class SessionStore {
   /// Index into tables_ of the (possibly newly) interned table for `cache`.
   std::size_t intern(const FrameStatsCache& cache);
   void rebuild_groups();
+  /// Doubles the memo hash and re-inserts the groups minted so far under
+  /// the live scan's `epoch` (the rebuild_groups slow path).
+  void grow_memo(std::uint64_t epoch);
   void run_blocked_kernel();
   void histo_add(std::uint64_t weight_bits);
   void histo_remove(std::uint64_t weight_bits);
@@ -722,6 +732,11 @@ class SessionStore {
   std::vector<int> group_depth_;          // group outputs
   std::vector<double> group_arrivals_;
   std::vector<double> group_quality_;
+  /// Smallest memo hash, and the inverse of its maximum load factor (a 1/2
+  /// load measured ~8% slower per session·slot on a churning 4-link cluster
+  /// near 10k sessions).
+  static constexpr std::size_t kMemoMinSlots = 64;
+  static constexpr std::size_t kMemoLoadInverse = 8;
   std::vector<MemoSlot> memo_;            // power-of-two scratch hash
   std::uint64_t memo_epoch_ = 0;
 

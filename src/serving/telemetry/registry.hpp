@@ -4,9 +4,10 @@
 // Components register named instruments once at construction and keep the
 // returned handles; the hot path then records through plain pointers — no
 // name lookup, no hashing, no allocation. A counter is one relaxed atomic
-// add (safe to record from inside the decide fan-out); histograms stay
-// deliberately single-threaded (the serving runtime serializes every phase
-// that records one): a histogram record is a bit_width + two adds.
+// add (safe to record from any thread); a histogram is deliberately
+// single-writer: a record is a bit_width + two adds. The cluster's link
+// shards run on executor workers, but each link records only its own
+// "link<k>/" instruments, so every histogram still has exactly one writer.
 //
 // Histograms are log2-bucketed: bucket 0 holds values < 1, bucket b >= 1
 // holds [2^(b-1), 2^b). Percentiles report the owning bucket's lower bound,
@@ -34,9 +35,9 @@ class PhaseTracer;      // tracer.hpp
 class FlightRecorder;   // flight_recorder.hpp
 
 /// A named monotonic counter. add() only; no reset (a run owns its registry).
-/// add() is a relaxed atomic fetch-add: counters are the one instrument a
-/// parallel phase may record into (the decide fan-out), so concurrent adds
-/// must never tear or drop. Relaxed is enough — there is no ordering to
+/// add() is a relaxed atomic fetch-add: counters are the one instrument
+/// several threads may record into at once, so concurrent adds must never
+/// tear or drop. Relaxed is enough — there is no ordering to
 /// protect, only the sum — and value() is meaningful at phase barriers
 /// (slot boundaries and export time), which is when the runtime reads it.
 class TelemetryCounter {

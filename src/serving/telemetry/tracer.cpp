@@ -28,7 +28,7 @@ PhaseTracer::PhaseTracer(const TracerConfig& config)
   if (config.sample_period == 0) {
     throw std::invalid_argument("PhaseTracer: sample_period must be > 0");
   }
-  ring_.resize(config.capacity);
+  ring_ = std::vector<Entry>(config.capacity);
 }
 
 std::string PhaseTracer::chrome_trace_json() const {

@@ -3,10 +3,11 @@
 // event batches, recorded into a preallocated ring buffer with steady-clock
 // timestamps.
 //
-// Cost model: a span is two steady_clock reads plus one ring store when the
-// tracer is live and sampling this slot; when the caller's tracer pointer is
-// null (telemetry off or counters-only) constructing a PhaseSpan is a single
-// predictable branch — which is what lets the spans live permanently in the
+// Cost model: a span is two steady_clock reads plus one ring store (an
+// atomic claim and an uncontended entry flag) when the tracer is live and
+// sampling this slot; when the caller's tracer pointer is null (telemetry
+// off or counters-only) constructing a PhaseSpan is a single predictable
+// branch — which is what lets the spans live permanently in the
 // hot path without violating the zero-overhead-when-off contract.
 //
 // Export: chrome_trace_json() renders the ring as Chrome trace_event JSON
@@ -16,6 +17,7 @@
 // the terminal.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -87,37 +89,51 @@ class PhaseTracer {
             .count());
   }
 
-  /// Stores one span (overwrites the oldest once the ring is full).
+  /// Stores one span (overwrites the oldest once the ring is full). Safe to
+  /// call from several threads at once — the cluster's link shards record
+  /// from executor workers: the ring position is a relaxed fetch-add claim
+  /// (as in FlightRecorder::record), and writers whose claims wrapped onto
+  /// the same entry serialize on that entry's flag, newest claim winning, so
+  /// no held span is ever torn. Readers (at(), the exports) run only at
+  /// quiescent points, after the writers' threads have synchronized.
   void record(Phase phase, std::size_t slot, std::uint32_t tid,
               std::uint64_t start_ns, std::uint64_t end_ns) noexcept {
-    SpanRecord& r = ring_[head_];
-    r.start_ns = start_ns;
-    r.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-    r.slot = slot;
-    r.tid = tid;
-    r.phase = phase;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-    ++total_;
+    const std::uint64_t n = total_.fetch_add(1, std::memory_order_relaxed);
+    Entry& e = ring_[static_cast<std::size_t>(n % ring_.size())];
+    while (e.busy.test_and_set(std::memory_order_acquire)) {
+    }
+    if (e.claim <= n) {
+      e.claim = n + 1;
+      e.span.start_ns = start_ns;
+      e.span.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
+      e.span.slot = slot;
+      e.span.tid = tid;
+      e.span.phase = phase;
+    }
+    e.busy.clear(std::memory_order_release);
   }
 
   /// Spans currently held (min(recorded_total, capacity)).
   [[nodiscard]] std::size_t size() const noexcept {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
+    const std::uint64_t total = recorded_total();
+    return total < ring_.size() ? static_cast<std::size_t>(total)
+                                : ring_.size();
   }
   /// Spans ever recorded, including overwritten ones.
-  [[nodiscard]] std::uint64_t recorded_total() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t recorded_total() const noexcept {
+    return total_.load(std::memory_order_relaxed);
+  }
   /// Spans lost to ring wraparound.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
+    const std::uint64_t total = recorded_total();
+    return total > ring_.size() ? total - ring_.size() : 0;
   }
 
   /// i-th held span, oldest first (i < size()).
   [[nodiscard]] const SpanRecord& at(std::size_t i) const noexcept {
-    if (total_ <= ring_.size()) return ring_[i];
-    std::size_t idx = head_ + i;
-    if (idx >= ring_.size()) idx -= ring_.size();
-    return ring_[idx];
+    const std::uint64_t total = recorded_total();
+    if (total <= ring_.size()) return ring_[i].span;
+    return ring_[static_cast<std::size_t>((total + i) % ring_.size())].span;
   }
 
   /// The held spans as Chrome trace_event JSON ({"traceEvents":[...]},
@@ -131,9 +147,16 @@ class PhaseTracer {
   [[nodiscard]] CsvTable rollup_table(bool per_tid = false) const;
 
  private:
-  std::vector<SpanRecord> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t total_ = 0;
+  /// One ring position. `claim` is the 1-based claim number of the span it
+  /// holds (0 = empty); `busy` arbitrates writers that wrapped onto it.
+  struct Entry {
+    std::atomic_flag busy;
+    std::uint64_t claim = 0;
+    SpanRecord span;
+  };
+
+  std::vector<Entry> ring_;
+  std::atomic<std::uint64_t> total_{0};
   std::size_t period_ = 1;
   std::chrono::steady_clock::time_point epoch_;
 };

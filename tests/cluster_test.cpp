@@ -1,9 +1,10 @@
 // Tests for the multi-link EdgeCluster: the K = 1 / round-robin special case
 // must reproduce the single-link runtime bit for bit, placement policies must
 // differ where they should (least-loaded rescues skewed bursts round-robin
-// strands; best-fit packs tight links first), parallel decide fan-out must be
-// bit-identical to serial, and the steady-state slot loop must be
-// allocation-free (counting global operator new probe).
+// strands; best-fit packs tight links first), the sharded slot loop (one
+// executor index per link) must be bit-identical to serial, and the
+// steady-state slot loop must be allocation-free (counting global operator
+// new probe).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "serving/cluster.hpp"
 #include "serving/session_manager.hpp"
 #include "support/alloc_probe.hpp"
+#include "support/cluster_equality.hpp"
 
 using arvis_test::g_allocations;
 
@@ -235,7 +237,7 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
 
 // --------------------------------------------------------- determinism ----
 
-TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
+TEST(EdgeClusterTest, ShardedSlotLoopMatchesSerialBitForBit) {
   ServingConfig serving = base_serving_config();
   serving.steps = 100;
   serving.trace_mode = TraceMode::kAll;  // compares per-slot traces
@@ -243,34 +245,63 @@ TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
   const auto specs = churn_specs(12);
   const double capacity = 5.0 * shared_cache().workload(0).bytes(4);
 
-  auto run_with_threads = [&](std::size_t threads) {
+  // Each run records into its own registry, tracer and flight ring, so the
+  // telemetry of a sharded run can be compared with the serial run's.
+  struct Run {
+    ClusterResult result;
+    TelemetryRegistry registry;
+    PhaseTracer tracer{TracerConfig{1 << 14, 1}};
+    FlightRecorder flight{FlightRecorderConfig{1 << 14}};
+  };
+  auto run_with_threads = [&](std::size_t threads, Run& run) {
     ClusterConfig config;
     config.serving = serving;
     config.serving.threads = threads;
+    config.serving.telemetry.mode = TelemetryMode::kFullTrace;
+    config.serving.telemetry.registry = &run.registry;
+    config.serving.telemetry.tracer = &run.tracer;
+    config.serving.telemetry.flight = &run.flight;
     config.placement = PlacementPolicy::kLeastLoaded;
     GilbertElliottChannel c0(capacity, 0.5, 0.1, 0.4, Rng(7));
     GilbertElliottChannel c1(capacity, 0.5, 0.1, 0.4, Rng(8));
     GilbertElliottChannel c2(capacity, 0.5, 0.1, 0.4, Rng(9));
     std::vector<ChannelModel*> links{&c0, &c1, &c2};
-    return run_cluster_scenario(config, specs, links);
+    run.result = run_cluster_scenario(config, specs, links);
   };
 
-  const ClusterResult serial = run_with_threads(1);
-  const ClusterResult parallel = run_with_threads(4);
-
-  ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    EXPECT_EQ(serial.sessions[i].link, parallel.sessions[i].link);
-    EXPECT_EQ(serial.sessions[i].spilled, parallel.sessions[i].spilled);
-    expect_traces_bit_identical(serial.sessions[i].session.trace,
-                                parallel.sessions[i].session.trace);
+  Run serial;
+  run_with_threads(1, serial);
+  ASSERT_EQ(serial.tracer.dropped(), 0U);
+  ASSERT_EQ(serial.flight.dropped(), 0U);
+  for (const std::size_t threads : {2UL, 4UL}) {
+    const std::string where = "threads=" + std::to_string(threads);
+    Run sharded;
+    run_with_threads(threads, sharded);
+    const ClusterResult& parallel = sharded.result;
+    ASSERT_EQ(serial.result.sessions.size(), parallel.sessions.size());
+    for (std::size_t i = 0; i < parallel.sessions.size(); ++i) {
+      EXPECT_EQ(serial.result.sessions[i].link, parallel.sessions[i].link);
+      EXPECT_EQ(serial.result.sessions[i].spilled,
+                parallel.sessions[i].spilled);
+      expect_traces_bit_identical(serial.result.sessions[i].session.trace,
+                                  parallel.sessions[i].session.trace);
+    }
+    EXPECT_EQ(serial.result.metrics.fleet.quality_fairness,
+              parallel.metrics.fleet.quality_fairness);
+    EXPECT_EQ(serial.result.metrics.fleet.capacity_used,
+              parallel.metrics.fleet.capacity_used);
+    EXPECT_EQ(serial.result.metrics.link_load_fairness,
+              parallel.metrics.link_load_fairness);
+    arvis_test::expect_cluster_results_equal(serial.result, parallel, where);
+    arvis_test::expect_registries_equal(serial.registry, sharded.registry,
+                                        where);
+    EXPECT_EQ(arvis_test::span_counts(sharded.tracer),
+              arvis_test::span_counts(serial.tracer))
+        << where;
+    EXPECT_EQ(arvis_test::flight_events(sharded.flight),
+              arvis_test::flight_events(serial.flight))
+        << where;
   }
-  EXPECT_EQ(serial.metrics.fleet.quality_fairness,
-            parallel.metrics.fleet.quality_fairness);
-  EXPECT_EQ(serial.metrics.fleet.capacity_used,
-            parallel.metrics.fleet.capacity_used);
-  EXPECT_EQ(serial.metrics.link_load_fairness,
-            parallel.metrics.link_load_fairness);
 }
 
 // ------------------------------------------------------ metrics rollup ----
@@ -385,28 +416,32 @@ TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
 }
 
 TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
-  ClusterConfig config;
-  config.serving = base_serving_config();
-  config.serving.steps = 120;
-  config.serving.threads = 1;
-  const double capacity = 4.0 * shared_cache().workload(0).bytes(4);
-  EdgeCluster cluster(config, {capacity, capacity});
-  for (std::size_t i = 0; i < 6; ++i) {
-    SessionSpec spec;
-    spec.cache = &shared_cache();
-    spec.seed = i;
-    cluster.submit(spec);
-  }
-  std::vector<double> caps{capacity, capacity};
-  for (int t = 0; t < 30; ++t) cluster.step(caps);
+  // Serial and sharded: handing the links to executor workers allocates
+  // nothing either.
+  for (const std::size_t threads : {1UL, 2UL}) {
+    ClusterConfig config;
+    config.serving = base_serving_config();
+    config.serving.steps = 120;
+    config.serving.threads = threads;
+    const double capacity = 4.0 * shared_cache().workload(0).bytes(4);
+    EdgeCluster cluster(config, {capacity, capacity});
+    for (std::size_t i = 0; i < 6; ++i) {
+      SessionSpec spec;
+      spec.cache = &shared_cache();
+      spec.seed = i;
+      cluster.submit(spec);
+    }
+    std::vector<double> caps{capacity, capacity};
+    for (int t = 0; t < 30; ++t) cluster.step(caps);
 
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int t = 0; t < 60; ++t) cluster.step(caps);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0U)
-      << "steady-state cluster loop performed " << (after - before)
-      << " heap allocations over 60 slots";
-  static_cast<void>(cluster.finish());
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int t = 0; t < 60; ++t) cluster.step(caps);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0U)
+        << "steady-state cluster loop performed " << (after - before)
+        << " heap allocations over 60 slots at threads=" << threads;
+    static_cast<void>(cluster.finish());
+  }
 }
 
 }  // namespace

@@ -675,7 +675,7 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
   }
   auto step = [&] {
     manager.begin_slot();
-    manager.decide_all_sessions();
+    manager.decide_phase();
     manager.finish_slot(4.0 * load);
   };
   step();
@@ -726,7 +726,7 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   const std::size_t pr_id = manager.submit(premium);
   for (std::size_t t = 0; t < config.steps; ++t) {
     manager.begin_slot();
-    manager.decide_all_sessions();
+    manager.decide_phase();
     manager.finish_slot(16.0 * load);
   }
   ASSERT_TRUE(manager.brownout_active());

@@ -1,7 +1,7 @@
 // Tests for the multi-session edge serving runtime: scheduler policy
 // invariants, admission boundaries, session churn bookkeeping, and the
 // determinism contract of the parallel executor (parallel == serial,
-// bit for bit).
+// bit for bit; a lone manager is one shard and ignores `threads`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <variant>
 
 #include "common/rng.hpp"
@@ -896,7 +898,7 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
   return specs;
 }
 
-TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
+TEST(SessionManagerTest, ThreadsSettingLeavesALoneManagerBitIdentical) {
   ServingConfig config = small_config();
   config.steps = 150;
   config.trace_mode = TraceMode::kAll;  // compares per-slot traces
@@ -918,8 +920,8 @@ TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
     const Trace& b = parallel.sessions[i].trace;
     ASSERT_EQ(a.size(), b.size()) << "session " << i;
     for (std::size_t t = 0; t < a.size(); ++t) {
-      // Bit-exact equality, not approximate: the decide phase touches only
-      // per-session state, so thread count must not change a single bit.
+      // Bit-exact equality, not approximate: a lone manager is one shard
+      // and runs serially, so `threads` must not change a single bit.
       EXPECT_EQ(a.at(t).depth, b.at(t).depth);
       EXPECT_EQ(a.at(t).arrivals, b.at(t).arrivals);
       EXPECT_EQ(a.at(t).service, b.at(t).service);
@@ -1206,6 +1208,103 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   store.decide_all();  // provably unchanged since -> reuse
   EXPECT_TRUE(store.last_decide_reused_groups());
   EXPECT_GT(store.decide_group_reuses(), 0U);
+}
+
+TEST(SessionStoreTest, MemoHashGrowsMidScanAndStaysExact) {
+  // The decide memo hash is sized by distinct keys: it starts small and
+  // doubles whenever a grouping scan would push its load past 1/8,
+  // re-inserting the groups minted so far. A fleet whose (row, backlog,
+  // ceiling) keys fan out from a few groups to over a hundred within one
+  // slot forces several doublings inside a single decide_all(); every
+  // decision must still match the scalar kernel bit for bit, equal keys
+  // far apart in the scan must still share one group across a doubling,
+  // and validate() checks the capacity invariant each slot.
+  const ServingConfig config = small_config();
+  SessionStore store(config.candidates, config.v, TraceMode::kAll);
+  SessionStore oracle(config.candidates, config.v, TraceMode::kAll);
+  const auto width = static_cast<std::uint32_t>(config.candidates.size());
+  const std::uint32_t limits[] = {1, 2, width};
+  const std::uint32_t swapped[] = {2, 1, width};
+
+  std::size_t next_id = 0;
+  const auto spawn = [&](std::size_t count, std::size_t slot) {
+    for (std::size_t k = 0; k < count; ++k, ++next_id) {
+      SessionSpec spec;
+      spec.cache = &shared_cache();
+      spec.qos = static_cast<std::uint8_t>(next_id % kSloTiers);
+      for (SessionStore* st : {&store, &oracle}) {
+        ServingSession& s = st->create(next_id, spec);
+        s.phase = SessionPhase::kActive;
+        st->activate(s, slot);
+      }
+    }
+  };
+  // Shares below one slot's arrivals with period 29 and tiers with period
+  // 3: backlogs diverge from the second drain on, and each key recurs every
+  // 87 sessions of a cohort, far from its first occurrence.
+  const double a0 = shared_cache().workload(0).bytes(config.candidates[0]);
+  const std::size_t frames = shared_cache().frame_count();
+  std::size_t max_doublings = 0;
+  for (std::size_t t = 0; t < 24; ++t) {
+    if (t % 4 == 0 && t < 12) spawn(120, t);
+    if (t == 0 || t == 12) {
+      for (SessionStore* st : {&store, &oracle}) {
+        st->set_tier_limits(t == 0 ? limits : swapped);
+      }
+    }
+    const std::size_t before = store.memo_capacity();
+    store.decide_all();
+    const std::size_t after = store.memo_capacity();
+    if (before > 0 && after > before) {
+      max_doublings = std::max<std::size_t>(
+          max_doublings, static_cast<std::size_t>(std::countr_zero(after) -
+                                                  std::countr_zero(before)));
+    }
+    for (std::size_t i = 0; i < oracle.active_count(); ++i) oracle.decide(i);
+    ASSERT_EQ(store.active_count(), oracle.active_count());
+    const auto got = store.decided_arrivals();
+    const auto want = oracle.decided_arrivals();
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "slot " << t << " session " << i;
+    }
+    EXPECT_GE(store.memo_capacity(), 8 * store.last_decide_groups());
+    // One group per distinct key, no more (a lost re-insert would mint
+    // duplicates): the row is the frame a cohort has reached, and a cohort
+    // (120 ids, activated at slot 4 x cohort) never retires here.
+    std::set<std::tuple<std::size_t, std::uint64_t, std::uint32_t>> keys;
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      const std::size_t row = (t - 4 * (i / 120)) % frames;
+      keys.emplace(row, std::bit_cast<std::uint64_t>(store.backlogs()[i]),
+                   store.tier_limit(static_cast<std::uint8_t>(i % kSloTiers)));
+    }
+    EXPECT_EQ(store.last_decide_groups(), keys.size()) << "slot " << t;
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      const double share = a0 * (0.2 + 0.013 * static_cast<double>(i % 29));
+      store.drain(i, t, share, 0.0);
+      oracle.drain(i, t, share, 0.0);
+    }
+    const Status ok = store.validate();
+    ASSERT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
+  }
+  EXPECT_GE(store.last_decide_groups(), 100U);
+  EXPECT_GE(max_doublings, 3U) << "no decide_all() grew the hash repeatedly";
+
+  ASSERT_EQ(store.session_count(), oracle.session_count());
+  for (std::size_t pos = 0; pos < store.session_count(); ++pos) {
+    const Trace& got = store.session(pos).trace;
+    const Trace& want = oracle.session(pos).trace;
+    ASSERT_EQ(got.size(), want.size()) << "session " << pos;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      ASSERT_EQ(got.at(t).depth, want.at(t).depth)
+          << "session " << pos << " slot " << t;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at(t).quality),
+                std::bit_cast<std::uint64_t>(want.at(t).quality));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at(t).backlog_end),
+                std::bit_cast<std::uint64_t>(want.at(t).backlog_end));
+    }
+  }
 }
 
 TEST(ServingScenarioTest, AdmissionKeepsFleetStable) {
