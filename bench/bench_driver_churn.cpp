@@ -499,7 +499,7 @@ int run_handover() {
   const ClusterMetrics& n = second.cluster.metrics;
   const bool deterministic =
       first.report.faults_applied == second.report.faults_applied &&
-      first.report.link_degrade_events == second.report.link_degrade_events &&
+      m.link_degrade_events == n.link_degrade_events &&
       m.migrations_requested == n.migrations_requested &&
       m.migrations_completed == n.migrations_completed &&
       m.migrations_aborted == n.migrations_aborted &&

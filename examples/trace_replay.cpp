@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
         "link_degrades=%zu failovers=%zu fault_evicted=%zu "
         "migrations_completed=%zu retries=%zu breaches=%llu recovers=%zu\n",
         m.link_down_events, m.link_up_events,
-        result.report.capacity_scale_events, m.link_degrade_events,
+        m.capacity_scale_events, m.link_degrade_events,
         m.failover_replaced, m.fault_evicted, m.migrations_completed,
         result.report.retries_scheduled,
         static_cast<unsigned long long>(result.report.slo_breaches),

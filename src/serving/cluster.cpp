@@ -189,7 +189,7 @@ void EdgeCluster::rank_links(const Entry& entry) {
   // and displaced sessions only consider survivors. Down/up transitions are
   // strict toggles, so the counters differ exactly while >= 1 link is down —
   // the fault-free path never pays for the scan.
-  if (link_down_events_ != link_up_events_) {
+  if (ledger_.link_down_events != ledger_.link_up_events) {
     std::erase_if(rank_, [this](std::size_t k) { return link_down_[k] != 0; });
   }
 }
@@ -207,46 +207,31 @@ void EdgeCluster::place_arrivals() {
     if (e.cancelled) continue;
     e.arrived = true;
     e.arrival_actual = slot_;
-    rank_links(e);
-    const std::size_t attempts =
-        std::min(rank_.size(), config_.spill_limit + 1);
-    int best_depth = std::numeric_limits<int>::min();
-    // Each attempt re-runs the link's admission scan (O(cached frames));
-    // placement happens once per session lifetime, never in the slot loop,
-    // so clarity wins over caching the load curve across attempts here.
-    for (std::size_t a = 0; a < attempts; ++a) {
-      const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, e.id);
-      best_depth = std::max(best_depth, decision.max_sustainable_depth);
-      if (decision.admitted) {
-        e.admitted = true;
-        e.link = static_cast<int>(k);
-        e.spilled = a > 0;
-        e.max_sustainable_depth = decision.max_sustainable_depth;
-        ++placed_;
-        if (e.spilled) ++spills_;
-        if (c_placed_ != nullptr) {
-          c_placed_->add(1);
-          if (e.spilled) c_spills_->add(1);
-        }
-        if (e.spilled && flight_ != nullptr) {
-          flight_->record(FlightEventKind::kPlacementSpill, slot_, kClusterTid,
-                          static_cast<double>(e.id), static_cast<double>(k));
-        }
-        break;
+    const RankedPlacement p = place_ranked(e, e.id);
+    e.max_sustainable_depth = p.max_sustainable_depth;
+    if (p.admitted) {
+      e.admitted = true;
+      e.link = static_cast<int>(p.link);
+      e.spilled = p.rank > 0;
+      ++ledger_.placed;
+      if (e.spilled) ++ledger_.spills;
+      if (c_placed_ != nullptr) {
+        c_placed_->add(1);
+        if (e.spilled) c_spills_->add(1);
       }
-    }
-    if (!e.admitted) {
+      if (e.spilled && flight_ != nullptr) {
+        flight_->record(FlightEventKind::kPlacementSpill, slot_, kClusterTid,
+                        static_cast<double>(e.id),
+                        static_cast<double>(p.link));
+      }
+    } else {
       e.departure_actual = slot_;
-      // attempts == 0 means every link was down — no link reported headroom.
-      e.max_sustainable_depth =
-          attempts > 0 ? best_depth : 0;
-      ++placement_rejects_;
+      ++ledger_.placement_rejects;
       if (c_rejects_ != nullptr) c_rejects_->add(1);
       if (flight_ != nullptr) {
         flight_->record(FlightEventKind::kPlacementReject, slot_, kClusterTid,
                         static_cast<double>(e.id),
-                        static_cast<double>(attempts));
+                        static_cast<double>(p.attempts));
       }
       if (collect_retry_) retry_feed_.push_back({e.id, e.spec, false});
     }
@@ -260,6 +245,45 @@ void EdgeCluster::place_arrivals() {
         pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
     pending_head_ = 0;
   }
+}
+
+EdgeCluster::RankedPlacement EdgeCluster::place_ranked(
+    const Entry& entry, std::size_t runtime_id) {
+  rank_links(entry);
+  RankedPlacement p;
+  p.attempts = std::min(rank_.size(), config_.spill_limit + 1);
+  int best_depth = std::numeric_limits<int>::min();
+  // Each attempt re-runs the link's admission scan (O(cached frames));
+  // placement happens once per session segment, never in the slot loop, so
+  // clarity wins over caching the load curve across attempts here.
+  for (std::size_t a = 0; a < p.attempts; ++a) {
+    const AdmissionDecision decision =
+        links_[rank_[a]]->try_place(entry.spec, runtime_id);
+    best_depth = std::max(best_depth, decision.max_sustainable_depth);
+    if (decision.admitted) {
+      p.admitted = true;
+      p.link = rank_[a];
+      p.rank = a;
+      p.max_sustainable_depth = decision.max_sustainable_depth;
+      return p;
+    }
+  }
+  // attempts == 0 means every link was down — no link reported headroom.
+  p.max_sustainable_depth = p.attempts > 0 ? best_depth : 0;
+  return p;
+}
+
+void EdgeCluster::displace(Entry& entry) {
+  entry.displaced = true;
+  displaced_.push_back(entry.id);
+  ++ledger_.failover_displaced;
+}
+
+void EdgeCluster::fault_evict(Entry& entry) {
+  entry.displaced = false;
+  entry.fault_evicted = true;
+  entry.departure_actual = slot_;
+  ++ledger_.fault_evicted;
 }
 
 std::size_t EdgeCluster::mint_runtime_id(std::size_t entry_id) {
@@ -284,10 +308,10 @@ bool EdgeCluster::set_link_state(std::size_t link, bool down) {
   if (!down) {
     // Recovery: the link simply rejoins the placement rotation (rank_links
     // stops filtering it). Sessions that failed over do not migrate back.
-    ++link_up_events_;
+    ++ledger_.link_up_events;
     return true;
   }
-  ++link_down_events_;
+  ++ledger_.link_down_events;
   // Drain: every active session leaves the link's books now (its trace on
   // that link ends at this slot) and queues for re-placement. The entry
   // remembers the live spec — an external close may have shortened the
@@ -295,12 +319,9 @@ bool EdgeCluster::set_link_state(std::size_t link, bool down) {
   evict_scratch_.clear();
   links_[link]->evict_all_active(evict_scratch_);
   for (const EvictedSession& ev : evict_scratch_) {
-    const std::size_t owner = owner_of(ev.id);
-    Entry& e = *entries_[owner];
+    Entry& e = *entries_[owner_of(ev.id)];
     e.spec = ev.spec;
-    e.displaced = true;
-    displaced_.push_back(owner);
-    ++failover_displaced_;
+    displace(e);
   }
   return true;
 }
@@ -313,6 +334,7 @@ bool EdgeCluster::set_link_capacity_scale(std::size_t link, double scale) {
   // events the effective scale is exactly the operator scale.
   link_effective_scale_[link] = scale * link_degrade_scale_[link];
   links_[link]->set_capacity_scale(link_effective_scale_[link]);
+  ++ledger_.capacity_scale_events;
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
                     static_cast<double>(link), 2.0);
@@ -332,7 +354,7 @@ bool EdgeCluster::set_link_degrade(std::size_t link, double scale,
   // never in the slot loop.
   link_effective_scale_[link] = link_scale_[link] * scale;
   links_[link]->set_capacity_scale(link_effective_scale_[link]);
-  ++link_degrade_events_;
+  ++ledger_.link_degrade_events;
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
                     static_cast<double>(link), 3.0);
@@ -352,45 +374,32 @@ void EdgeCluster::place_displaced() {
   for (const std::size_t entry_id : displaced_) {
     Entry& e = *entries_[entry_id];
     if (!e.displaced) continue;  // externally closed while displaced
-    e.displaced = false;
     if (e.spec.departure_slot != kNeverDeparts &&
         e.spec.departure_slot <= slot_) {
       // The session's window ended during the outage: nothing to re-place
       // and nothing to retry.
-      e.fault_evicted = true;
-      e.departure_actual = slot_;
-      ++fault_evicted_;
+      fault_evict(e);
       continue;
     }
-    rank_links(e);
-    const std::size_t attempts =
-        std::min(rank_.size(), config_.spill_limit + 1);
+    e.displaced = false;
     const std::size_t rid = mint_runtime_id(entry_id);
-    bool replaced = false;
-    for (std::size_t a = 0; a < attempts; ++a) {
-      const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, rid);
-      if (decision.admitted) {
-        e.link = static_cast<int>(k);
-        e.runtime_id = rid;
-        ++e.failovers;
-        ++failover_replaced_;
-        replaced = true;
-        if (flight_ != nullptr) {
-          flight_->record(FlightEventKind::kFailover, slot_, kClusterTid,
-                          static_cast<double>(e.id), static_cast<double>(k));
-        }
-        break;
+    const RankedPlacement p = place_ranked(e, rid);
+    if (p.admitted) {
+      e.link = static_cast<int>(p.link);
+      e.runtime_id = rid;
+      ++e.failovers;
+      ++ledger_.failover_replaced;
+      if (flight_ != nullptr) {
+        flight_->record(FlightEventKind::kFailover, slot_, kClusterTid,
+                        static_cast<double>(e.id),
+                        static_cast<double>(p.link));
       }
-    }
-    if (!replaced) {
-      e.fault_evicted = true;
-      e.departure_actual = slot_;
-      ++fault_evicted_;
+    } else {
+      fault_evict(e);
       if (flight_ != nullptr) {
         flight_->record(FlightEventKind::kPlacementReject, slot_, kClusterTid,
                         static_cast<double>(e.id),
-                        static_cast<double>(attempts));
+                        static_cast<double>(p.attempts));
       }
       if (collect_retry_) retry_feed_.push_back({e.id, e.spec, true});
     }
@@ -411,51 +420,41 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
     return false;  // invalid input: nothing extracted, books never see it
   }
   const std::size_t from = static_cast<std::size_t>(e.link);
-  ++migrations_requested_;
   SessionManager::MigratedSession carried;
   if (!links_[from]->extract_session(e.runtime_id, carried)) {
     // Not in the link's active set (departed or externally closed already):
-    // refund — no session moved, so no request to reconcile.
-    --migrations_requested_;
+    // no session moved, so no request to reconcile.
     return false;
   }
+  ++ledger_.migrations_requested;
   e.spec = carried.spec;  // live spec: an external close may have shortened it
-  if (e.spec.departure_slot != kNeverDeparts &&
-      e.spec.departure_slot <= slot_) {
-    // The session's window ends this slot. Abort onto the displaced path so
-    // the usual eviction/close books end it — nothing is stranded.
-    ++migrations_aborted_;
-    e.displaced = true;
-    displaced_.push_back(session_id);
-    ++failover_displaced_;
-    return false;
+  const bool window_over = e.spec.departure_slot != kNeverDeparts &&
+                           e.spec.departure_slot <= slot_;
+  if (!window_over) {
+    const std::size_t rid = mint_runtime_id(session_id);
+    if (links_[target_link]->place_migrated(carried, rid).admitted) {
+      e.link = static_cast<int>(target_link);
+      e.runtime_id = rid;
+      ++e.migrations;
+      ++e.migrations_in_window;
+      ++ledger_.migrations_completed;
+      if (flight_ != nullptr) {
+        flight_->record(FlightEventKind::kMigration, slot_, kClusterTid,
+                        static_cast<double>(e.id),
+                        static_cast<double>(reason) * 1048576.0 +
+                            static_cast<double>(from) * 1024.0 +
+                            static_cast<double>(target_link));
+      }
+      return true;
+    }
   }
-  const std::size_t rid = mint_runtime_id(session_id);
-  const AdmissionDecision decision =
-      links_[target_link]->place_migrated(carried, rid);
-  if (!decision.admitted) {
-    // Abort: the target refused the load. The session already left its
-    // source link, so it joins the displaced path — re-placement next slot,
-    // or eviction under the exact failover books.
-    ++migrations_aborted_;
-    e.displaced = true;
-    displaced_.push_back(session_id);
-    ++failover_displaced_;
-    return false;
-  }
-  e.link = static_cast<int>(target_link);
-  e.runtime_id = rid;
-  ++e.migrations;
-  ++e.migrations_in_window;
-  ++migrations_completed_;
-  if (flight_ != nullptr) {
-    flight_->record(FlightEventKind::kMigration, slot_, kClusterTid,
-                    static_cast<double>(e.id),
-                    static_cast<double>(reason) * 1048576.0 +
-                        static_cast<double>(from) * 1024.0 +
-                        static_cast<double>(target_link));
-  }
-  return true;
+  // Abort: the window ends this slot, or the target refused the load. The
+  // session already left its source link, so it joins the displaced path —
+  // re-placement next slot, or eviction/close under the exact failover
+  // books. Nothing is stranded.
+  ++ledger_.migrations_aborted;
+  displace(e);
+  return false;
 }
 
 bool EdgeCluster::migrate_session(std::size_t session_id,
@@ -621,9 +620,9 @@ void EdgeCluster::evaluate_handover() {
 }
 
 void EdgeCluster::accumulate_slo(SloObservation& observation) {
-  observation.placed += placed_;
-  observation.spills += spills_;
-  observation.placement_rejects += placement_rejects_;
+  observation.placed += ledger_.placed;
+  observation.spills += ledger_.spills;
+  observation.placement_rejects += ledger_.placement_rejects;
   for (auto& link : links_) link->accumulate_slo(observation);
 }
 
@@ -710,7 +709,7 @@ bool EdgeCluster::request_close(std::size_t session_id) {
       // drain) instead of being silently dropped.
       e.displaced = false;
       e.departure_actual = slot_;
-      ++fault_closed_;
+      ++ledger_.fault_closed;
       return true;
     }
     return links_[static_cast<std::size_t>(e.link)]->request_close(
@@ -768,11 +767,7 @@ ClusterResult EdgeCluster::finish() {
   // (displaced == replaced + evicted + closed, nothing stranded).
   for (const std::size_t entry_id : displaced_) {
     Entry& e = *entries_[entry_id];
-    if (!e.displaced) continue;
-    e.displaced = false;
-    e.fault_evicted = true;
-    e.departure_actual = slot_;
-    ++fault_evicted_;
+    if (e.displaced) fault_evict(e);
   }
   displaced_.clear();
 
@@ -839,20 +834,9 @@ ClusterResult EdgeCluster::finish() {
     result.sessions.push_back(std::move(out));
   }
 
+  static_cast<ClusterLedger&>(result.metrics) = ledger_;
   result.metrics.link_count = links_.size();
   result.metrics.fleet = metrics_.fleet();
-  result.metrics.spills = spills_;
-  result.metrics.placement_rejects = placement_rejects_;
-  result.metrics.link_down_events = link_down_events_;
-  result.metrics.link_up_events = link_up_events_;
-  result.metrics.failover_displaced = failover_displaced_;
-  result.metrics.failover_replaced = failover_replaced_;
-  result.metrics.fault_evicted = fault_evicted_;
-  result.metrics.fault_closed = fault_closed_;
-  result.metrics.link_degrade_events = link_degrade_events_;
-  result.metrics.migrations_requested = migrations_requested_;
-  result.metrics.migrations_completed = migrations_completed_;
-  result.metrics.migrations_aborted = migrations_aborted_;
   std::vector<double> link_used;
   link_used.reserve(link_results.size());
   for (const ServingResult& lr : link_results) {

@@ -151,8 +151,55 @@ struct RetrySeed {
   bool fault_evicted = false;
 };
 
-/// Fleet view across all links.
-struct ClusterMetrics {
+/// Every cluster-level count, in one place. EdgeCluster bumps its ledger
+/// where each event happens; ClusterMetrics, the driver's fault-plane
+/// sample, the DriverReport migration triple and `live_stats.json` are all
+/// read from it. The books balance exactly:
+///   failover_displaced == failover_replaced + fault_evicted + fault_closed
+///   migrations_requested == migrations_completed + migrations_aborted
+/// (every displaced session is re-placed, evicted, or externally closed, and
+/// every aborted migration re-enters the failover books through the
+/// displaced path — nothing is stranded; tested).
+struct ClusterLedger {
+  /// Sessions admitted at arrival, on any link.
+  std::size_t placed = 0;
+  /// Sessions admitted via a non-first-choice link.
+  std::size_t spills = 0;
+  /// Sessions refused by every link they were offered to.
+  std::size_t placement_rejects = 0;
+  /// Link up→down transitions applied (a down on a downed link is a no-op
+  /// and does not count).
+  std::size_t link_down_events = 0;
+  /// Link down→up transitions applied.
+  std::size_t link_up_events = 0;
+  /// Capacity-scale (fade/brownout) changes applied.
+  std::size_t capacity_scale_events = 0;
+  /// Graded kLinkDegrade events applied.
+  std::size_t link_degrade_events = 0;
+  /// Active sessions drained off a link when it went down, plus aborted
+  /// migrations.
+  std::size_t failover_displaced = 0;
+  /// Displaced sessions re-admitted onto a surviving link.
+  std::size_t failover_replaced = 0;
+  /// Displaced sessions no surviving link would take (or with no lifetime
+  /// left) — ended at the eviction slot.
+  std::size_t fault_evicted = 0;
+  /// Displaced sessions externally closed before re-placement.
+  std::size_t fault_closed = 0;
+  /// Mid-stream migrations attempted (policy-driven + explicit).
+  std::size_t migrations_requested = 0;
+  /// Migrations whose target link admitted the carried session.
+  std::size_t migrations_completed = 0;
+  /// Migrations the target refused — the session fell back to the
+  /// displaced path (re-placement, eviction, or close).
+  std::size_t migrations_aborted = 0;
+
+  bool operator==(const ClusterLedger&) const = default;
+};
+
+/// Fleet view across all links: the end-of-run ledger plus the fleet
+/// aggregates.
+struct ClusterMetrics : ClusterLedger {
   std::size_t link_count = 0;
   /// Cluster-wide aggregates over every submitted session and the summed
   /// per-slot link capacities (for K = 1 this equals the single-link
@@ -165,40 +212,6 @@ struct ClusterMetrics {
   /// Jain fairness of per-link capacity_used — how evenly the placement
   /// policy spread real work across links.
   double link_load_fairness = 0.0;
-  /// Sessions admitted via a non-first-choice link.
-  std::size_t spills = 0;
-  /// Sessions refused by every link they were offered to.
-  std::size_t placement_rejects = 0;
-  // Fault-plane outcomes. The books balance exactly:
-  //   failover_displaced == failover_replaced + fault_evicted + fault_closed
-  // (every displaced session is re-placed, evicted, or externally closed —
-  // none stranded; tested).
-  /// Link up→down transitions applied.
-  std::size_t link_down_events = 0;
-  /// Link down→up transitions applied.
-  std::size_t link_up_events = 0;
-  /// Active sessions drained off a link when it went down.
-  std::size_t failover_displaced = 0;
-  /// Displaced sessions re-admitted onto a surviving link.
-  std::size_t failover_replaced = 0;
-  /// Displaced sessions no surviving link would take (or with no lifetime
-  /// left) — ended at the eviction slot.
-  std::size_t fault_evicted = 0;
-  /// Displaced sessions externally closed before re-placement.
-  std::size_t fault_closed = 0;
-  /// Graded kLinkDegrade events applied.
-  std::size_t link_degrade_events = 0;
-  // Migration books. These balance exactly:
-  //   migrations_requested == migrations_completed + migrations_aborted
-  // and every aborted migration re-enters the failover books above (the
-  // displaced path), so nothing is ever stranded (tested).
-  /// Mid-stream migrations attempted (policy-driven + explicit).
-  std::size_t migrations_requested = 0;
-  /// Migrations whose target link admitted the carried session.
-  std::size_t migrations_completed = 0;
-  /// Migrations the target refused — the session fell back to the
-  /// displaced path (re-placement, eviction, or close).
-  std::size_t migrations_aborted = 0;
 };
 
 struct ClusterResult {
@@ -253,35 +266,9 @@ class EdgeCluster {
   [[nodiscard]] const ServerMetrics& metrics() const noexcept {
     return metrics_;
   }
-  /// Sessions admitted via a non-first-choice link so far.
-  [[nodiscard]] std::size_t spills() const noexcept { return spills_; }
-  /// Sessions refused by every link they were offered to so far.
-  [[nodiscard]] std::size_t placement_rejects() const noexcept {
-    return placement_rejects_;
-  }
-  [[nodiscard]] std::size_t failover_displaced() const noexcept {
-    return failover_displaced_;
-  }
-  [[nodiscard]] std::size_t failover_replaced() const noexcept {
-    return failover_replaced_;
-  }
-  [[nodiscard]] std::size_t fault_evicted_count() const noexcept {
-    return fault_evicted_;
-  }
-  [[nodiscard]] std::size_t fault_closed() const noexcept {
-    return fault_closed_;
-  }
-  [[nodiscard]] std::size_t migrations_requested() const noexcept {
-    return migrations_requested_;
-  }
-  [[nodiscard]] std::size_t migrations_completed() const noexcept {
-    return migrations_completed_;
-  }
-  [[nodiscard]] std::size_t migrations_aborted() const noexcept {
-    return migrations_aborted_;
-  }
-  [[nodiscard]] std::size_t link_degrade_events() const noexcept {
-    return link_degrade_events_;
+  /// Every cluster-level count so far (placement, fault plane, migration).
+  [[nodiscard]] const ClusterLedger& ledger() const noexcept {
+    return ledger_;
   }
 
   // -- Fault plane -----------------------------------------------------
@@ -391,9 +378,29 @@ class EdgeCluster {
  private:
   struct Entry;
 
+  /// Outcome of one ranked try-admission pass (place_ranked).
+  struct RankedPlacement {
+    bool admitted = false;
+    /// Admitting link and its rank position (0 = first choice).
+    std::size_t link = 0;
+    std::size_t rank = 0;
+    /// Links the pass could try: min(surviving links, spill_limit + 1).
+    std::size_t attempts = 0;
+    /// Admitted: the admitting link's depth headroom. Refused: the best any
+    /// tried link reported (0 when no link could be tried).
+    int max_sustainable_depth = 0;
+  };
+
   void place_arrivals();
   void place_displaced();
   void rank_links(const Entry& entry);
+  /// Ranks the links for `entry` and tries admission under `runtime_id` in
+  /// rank order: the first choice, then up to spill_limit spills.
+  RankedPlacement place_ranked(const Entry& entry, std::size_t runtime_id);
+  /// Queues `entry` (already out of its link's books) for re-placement.
+  void displace(Entry& entry);
+  /// Ends a displaced `entry` at the current slot as fault-evicted.
+  void fault_evict(Entry& entry);
   /// The HandoverPolicy slot pass: score links, update hysteresis state,
   /// drain sessions off links in handover, and (when configured) rebalance
   /// one worst-served session onto a link a departure just freed. Runs
@@ -427,9 +434,7 @@ class EdgeCluster {
   ServerMetrics metrics_;  // cluster-wide slot + session aggregates
   std::size_t slot_ = 0;
   bool finished_ = false;
-  std::size_t placed_ = 0;
-  std::size_t spills_ = 0;
-  std::size_t placement_rejects_ = 0;
+  ClusterLedger ledger_;
   // Scratch reused across slots.
   std::vector<std::size_t> rank_;
   /// Each shard's slot report, written by its own executor index.
@@ -445,12 +450,6 @@ class EdgeCluster {
   std::vector<std::size_t> failover_owner_;
   bool collect_retry_ = false;
   std::vector<RetrySeed> retry_feed_;
-  std::size_t link_down_events_ = 0;
-  std::size_t link_up_events_ = 0;
-  std::size_t failover_displaced_ = 0;
-  std::size_t failover_replaced_ = 0;
-  std::size_t fault_evicted_ = 0;
-  std::size_t fault_closed_ = 0;
   // -- Handover / live migration (vectors preallocated at construction;
   // with the policy off the slot loop pays one branch, and the degrade
   // factor folds into link_effective_scale_ at fault edges, so the
@@ -466,10 +465,6 @@ class EdgeCluster {
   std::vector<double> prev_reserved_;  // reserved load before begin_slot
   /// Scratch: (backlog, runtime id) candidates of the link being drained.
   std::vector<std::pair<double, std::size_t>> migrate_scratch_;
-  std::size_t migrations_requested_ = 0;
-  std::size_t migrations_completed_ = 0;
-  std::size_t migrations_aborted_ = 0;
-  std::size_t link_degrade_events_ = 0;
   // Telemetry (see session_manager.hpp for the null-pointer cost model).
   // Links carry their own per-link instruments (tid = link index), each
   // written only by that link's shard; these are the cluster-level ones,
@@ -486,9 +481,9 @@ class EdgeCluster {
 
 /// Convenience one-shot mirroring run_serving_scenario: submits `specs`,
 /// steps `config.serving.steps` slots drawing every link's capacity from its
-/// channel (`channels[k]` drives link k; all non-null), and finishes. Like
-/// run_serving_scenario, a thin wrapper over an EventLoop in fixed-horizon
-/// mode (defined in serving/driver/event_loop.cpp).
+/// channel (`channels[k]` drives link k; all non-null), and finishes. A thin
+/// wrapper over an EventLoop in fixed-horizon mode (defined in
+/// serving/driver/event_loop.cpp).
 ClusterResult run_cluster_scenario(const ClusterConfig& config,
                                    const std::vector<SessionSpec>& specs,
                                    const std::vector<ChannelModel*>& channels);

@@ -62,16 +62,6 @@ std::size_t ServingBackend::step_slots(std::size_t max_slots) {
   return done;
 }
 
-void SessionManagerBackend::sample(MetricsSnapshot& out,
-                                   std::vector<double>& per_link_used) const {
-  out.active_sessions = manager_->active_count();
-  out.admitted_total = manager_->admission_stats().accepted;
-  out.rejected_total = manager_->admission_stats().rejected;
-  out.capacity_offered_total = manager_->metrics().capacity_offered_total();
-  out.capacity_used_total = manager_->metrics().capacity_used_total();
-  per_link_used.assign(1, out.capacity_used_total);
-}
-
 ClusterBackend::ClusterBackend(EdgeCluster& cluster,
                                std::vector<ChannelModel*> channels)
     : cluster_(&cluster), channels_(std::move(channels)) {
@@ -104,7 +94,7 @@ void ClusterBackend::sample(MetricsSnapshot& out,
     per_link_used[k] = cluster_->link(k).metrics().capacity_used_total();
   }
   out.admitted_total = accepted;
-  out.rejected_total = cluster_->placement_rejects();
+  out.rejected_total = cluster_->ledger().placement_rejects;
   out.capacity_offered_total = cluster_->metrics().capacity_offered_total();
   out.capacity_used_total = cluster_->metrics().capacity_used_total();
 }
@@ -331,8 +321,8 @@ void EventLoop::write_live_stats(const MetricsSnapshot& snapshot) {
   out += ",\"window_utilization\":" +
          std::to_string(snapshot.window_utilization);
   out += ",\"link_fairness\":" + std::to_string(snapshot.link_load_fairness);
-  // Fault-plane traffic (zeros for a backend without one), so a watcher
-  // sees handover/migration activity next to the failover books live.
+  // Fault-plane traffic from the cluster's ledger, so a watcher sees
+  // handover/migration activity next to the failover books live.
   const FaultPlaneSample fp = backend_->sample_fault_plane();
   out += ",\"failover_displaced\":" + std::to_string(fp.failover_displaced);
   out += ",\"failover_replaced\":" + std::to_string(fp.failover_replaced);
@@ -527,15 +517,9 @@ DriverReport EventLoop::run() {
                 static_cast<EventKind>(event.kind) == EventKind::kLinkDown;
             if (backend_->apply_link_state(fault.link, down)) {
               ++report.faults_applied;
-              if (down) {
-                ++report.link_down_events;
-              } else {
-                ++report.link_up_events;
-              }
             } else {
-              // A backend without a fault plane (or a bad link index in a
-              // hand-written plan) is counted, not fatal — same contract as
-              // close events.
+              // A bad link index in a hand-written plan is counted, not
+              // fatal — same contract as close events.
               ++report.faults_ignored;
               log_info("driver: ", down ? "link-down" : "link-up",
                        " event at slot ", event.slot, " ignored (link ",
@@ -547,7 +531,6 @@ DriverReport EventLoop::run() {
             const FaultEvent& fault = faults_[event.payload];
             if (backend_->apply_capacity_scale(fault.link, fault.scale)) {
               ++report.faults_applied;
-              ++report.capacity_scale_events;
             } else {
               ++report.faults_ignored;
               log_info("driver: capacity-scale event at slot ", event.slot,
@@ -560,7 +543,6 @@ DriverReport EventLoop::run() {
             if (backend_->apply_link_degrade(fault.link, fault.scale,
                                              fault.delay)) {
               ++report.faults_applied;
-              ++report.link_degrade_events;
             } else {
               ++report.faults_ignored;
               log_info("driver: link-degrade event at slot ", event.slot,
@@ -647,9 +629,7 @@ DriverReport EventLoop::run() {
     report.retries_abandoned += retry_scratch_.size();
   }
 
-  // Migration books into the report (zeros for a backend without a fault
-  // plane; the degrade-event count rode in at event application like the
-  // other fault kinds).
+  // Migration books into the report, from the backend's ledger.
   {
     const FaultPlaneSample sample = backend_->sample_fault_plane();
     report.migrations_requested = sample.migrations_requested;
@@ -687,29 +667,9 @@ DriverReport EventLoop::run() {
   return report;
 }
 
-// --------------------------------------------------------------------------
-// The fixed-horizon one-shots, re-expressed over the event loop. Dense mode
-// (skip_idle off) plus a stop event at `steps` reproduces the pre-driver
-// hand-rolled loops bit for bit: same submit order, one step per slot
-// drawing the same capacity sequence, nothing else — asserted in
-// tests/serving_test.cpp and tests/cluster_test.cpp.
-
-ServingResult run_serving_scenario(const ServingConfig& config,
-                                   const std::vector<SessionSpec>& specs,
-                                   ChannelModel& channel) {
-  SessionManager manager(config, channel.mean_capacity_bytes());
-  for (const SessionSpec& spec : specs) manager.submit(spec);
-
-  DriverConfig driver;
-  driver.skip_idle = false;
-  driver.max_slots = kNoSlot;
-  SessionManagerBackend backend(manager, channel);
-  EventLoop loop(driver, backend);
-  loop.schedule_stop(config.steps);
-  loop.run();
-  return manager.finish();
-}
-
+// The fixed-horizon one-shot over the event loop: dense mode (skip_idle
+// off) plus a stop event at `steps` executes every slot once, drawing the
+// same capacity sequence as a hand-rolled step loop.
 ClusterResult run_cluster_scenario(const ClusterConfig& config,
                                    const std::vector<SessionSpec>& specs,
                                    const std::vector<ChannelModel*>& channels) {

@@ -35,13 +35,12 @@
 // (ServingBackend::step_slots), so the per-slot event bookkeeping vanishes
 // and the runtime's incremental decide engine sees an uninterrupted run of
 // slots over which its memoized group structure stays valid. With
-// skip_idle off and a stop event armed it degenerates to exactly the old
-// fixed-horizon loop, which is how run_serving_scenario and
-// run_cluster_scenario are now implemented (bit-for-bit, tested): one
-// execution path, two driving styles.
+// skip_idle off and a stop event armed it degenerates to exactly the
+// fixed-horizon loop, which is how run_cluster_scenario is implemented.
 //
-// The loop is runtime-agnostic through ServingBackend: the same engine
-// drives a single SessionManager link or a K-link EdgeCluster.
+// The loop drives an EdgeCluster through ServingBackend (ClusterBackend, or
+// a decorator around it); a single link is the K = 1 cluster, pinned bit
+// for bit to a lone SessionManager stepped by hand (tests/cluster_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -116,9 +115,8 @@ struct DriverConfig {
   /// Free-form run description echoed into black boxes and live stats
   /// (must be valid JSON when non-empty, e.g. "{\"run\":\"flash-crowd\"}").
   std::string config_echo;
-  /// Retry/backoff loop for refused and fault-evicted sessions. Requires a
-  /// backend with a retry feed (the cluster backend); enabling it against a
-  /// backend without one is a no-op.
+  /// Retry/backoff loop for refused and fault-evicted sessions, fed by the
+  /// backend's retry feed.
   RetryConfig retry;
 };
 
@@ -164,17 +162,14 @@ struct DriverReport {
   std::size_t closes_ignored = 0;
   /// True when DriverConfig::max_slots ended the run.
   bool hit_slot_cap = false;
-  /// Fault events the backend accepted / refused (a single-link backend has
-  /// no fault verbs, so every fault on it counts as ignored).
+  /// Fault events the backend accepted / refused (a bad link index in a
+  /// hand-written plan is refused). An accepted event need not change
+  /// state: a link-down on a downed link is applied as a no-op, so the
+  /// per-kind mix lives in the cluster's ledger, which counts transitions.
   std::size_t faults_applied = 0;
   std::size_t faults_ignored = 0;
-  /// Applied fault mix, by kind.
-  std::size_t link_down_events = 0;
-  std::size_t link_up_events = 0;
-  std::size_t capacity_scale_events = 0;
-  std::size_t link_degrade_events = 0;
-  /// End-of-run migration books from the backend's fault plane (all zero
-  /// for a backend without one). requested == completed + aborted, exactly.
+  /// End-of-run migration books, copied from the backend's ledger.
+  /// requested == completed + aborted, exactly.
   std::size_t migrations_requested = 0;
   std::size_t migrations_completed = 0;
   std::size_t migrations_aborted = 0;
@@ -205,17 +200,11 @@ struct DriverReport {
   [[nodiscard]] CsvTable snapshot_table() const;
 };
 
-/// Cumulative fault-plane counters a backend can surface mid-run (all zero
-/// for a backend without one). Sampled for live stats at every snapshot and
-/// folded into the DriverReport at end of run, so watchers see handover
-/// traffic next to the failover books it extends.
-struct FaultPlaneSample {
-  std::size_t failover_displaced = 0;
-  std::size_t failover_replaced = 0;
-  std::size_t migrations_requested = 0;
-  std::size_t migrations_completed = 0;
-  std::size_t migrations_aborted = 0;
-};
+/// The backend's cumulative fault-plane counters: the cluster's ledger.
+/// Sampled for live stats at every snapshot and folded into the
+/// DriverReport at end of run, so watchers see handover traffic next to the
+/// failover books it extends.
+using FaultPlaneSample = ClusterLedger;
 
 /// The slice of a serving runtime the EventLoop needs. Implementations own
 /// nothing — they adapt a caller-owned runtime + channel stream(s).
@@ -245,7 +234,7 @@ class ServingBackend {
   virtual void skip_idle_slots(std::size_t slots) = 0;
   /// Samples cumulative counters into `out` (slot/window fields are the
   /// loop's job) and per-link cumulative used bytes into `per_link_used`
-  /// (resized; one entry per link, a single entry for one-link runtimes).
+  /// (resized; one entry per link).
   virtual void sample(MetricsSnapshot& out,
                       std::vector<double>& per_link_used) const = 0;
   /// Folds the runtime's SLO sample into `observation` (additive —
@@ -253,39 +242,22 @@ class ServingBackend {
   /// Non-const: the delay percentile uses the runtime's reusable scratch.
   virtual void sample_slo(SloObservation& observation) = 0;
 
-  // -- Fault plane (optional; defaults describe a backend without one, so
-  // existing backends and tests are untouched) ---------------------------
-  /// Applies a link up/down transition. False = unsupported or bad link.
-  virtual bool apply_link_state(std::size_t link, bool down) {
-    (void)link;
-    (void)down;
-    return false;
-  }
-  /// Applies a capacity scale factor. False = unsupported or bad input.
-  virtual bool apply_capacity_scale(std::size_t link, double scale) {
-    (void)link;
-    (void)scale;
-    return false;
-  }
+  // -- Fault plane ----------------------------------------------------------
+  /// Applies a link up/down transition. False = bad link.
+  virtual bool apply_link_state(std::size_t link, bool down) = 0;
+  /// Applies a capacity scale factor. False = bad input.
+  virtual bool apply_capacity_scale(std::size_t link, double scale) = 0;
   /// Applies a graded degradation (fractional capacity + reported per-slot
-  /// delay). False = unsupported or bad input.
+  /// delay). False = bad input.
   virtual bool apply_link_degrade(std::size_t link, double scale,
-                                  double delay) {
-    (void)link;
-    (void)scale;
-    (void)delay;
-    return false;
-  }
-  /// Samples the backend's cumulative fault-plane counters (failover +
-  /// migration books); the default backend has none.
-  [[nodiscard]] virtual FaultPlaneSample sample_fault_plane() const {
-    return {};
-  }
+                                  double delay) = 0;
+  /// Samples the backend's cumulative fault-plane counters.
+  [[nodiscard]] virtual FaultPlaneSample sample_fault_plane() const = 0;
   /// Turns on retry-seed collection (refusals/evictions feed the driver).
-  virtual void enable_retry_feed() {}
-  [[nodiscard]] virtual bool retry_feed_pending() const { return false; }
+  virtual void enable_retry_feed() = 0;
+  [[nodiscard]] virtual bool retry_feed_pending() const = 0;
   /// Moves the pending seeds into `out` (appended) and clears the feed.
-  virtual void take_retry_feed(std::vector<RetrySeed>& out) { (void)out; }
+  virtual void take_retry_feed(std::vector<RetrySeed>& out) = 0;
 };
 
 /// Pull-based arrival feed: the incremental alternative to scheduling every
@@ -303,42 +275,6 @@ class ArrivalSource {
   [[nodiscard]] virtual std::size_t next_slot() const = 0;
   /// Appends the batch due at next_slot() to `out` and advances.
   virtual void take(std::vector<SessionSpec>& out) = 0;
-};
-
-/// Adapts a single-link SessionManager + its capacity stream.
-class SessionManagerBackend final : public ServingBackend {
- public:
-  SessionManagerBackend(SessionManager& manager, ChannelModel& channel)
-      : manager_(&manager), channel_(&channel) {}
-
-  [[nodiscard]] std::size_t slot() const override { return manager_->slot(); }
-  [[nodiscard]] std::size_t active_count() const override {
-    return manager_->active_count();
-  }
-  [[nodiscard]] std::size_t next_pending_arrival_slot() const override {
-    return manager_->next_pending_arrival_slot();
-  }
-  std::size_t submit(const SessionSpec& spec) override {
-    return manager_->submit(spec);
-  }
-  void step_slot() override {
-    manager_->step(channel_->next_capacity_bytes());
-  }
-  bool close_session(std::size_t session_id) override {
-    return manager_->request_close(session_id);
-  }
-  void skip_idle_slots(std::size_t slots) override {
-    manager_->skip_idle_slots(slots);
-  }
-  void sample(MetricsSnapshot& out,
-              std::vector<double>& per_link_used) const override;
-  void sample_slo(SloObservation& observation) override {
-    manager_->accumulate_slo(observation);
-  }
-
- private:
-  SessionManager* manager_;
-  ChannelModel* channel_;
 };
 
 /// Per-channel mean capacities (the admission calibration input), after
@@ -388,13 +324,7 @@ class ClusterBackend final : public ServingBackend {
     return cluster_->set_link_degrade(link, scale, delay);
   }
   [[nodiscard]] FaultPlaneSample sample_fault_plane() const override {
-    FaultPlaneSample sample;
-    sample.failover_displaced = cluster_->failover_displaced();
-    sample.failover_replaced = cluster_->failover_replaced();
-    sample.migrations_requested = cluster_->migrations_requested();
-    sample.migrations_completed = cluster_->migrations_completed();
-    sample.migrations_aborted = cluster_->migrations_aborted();
-    return sample;
+    return cluster_->ledger();
   }
   void enable_retry_feed() override { cluster_->enable_retry_feed(); }
   [[nodiscard]] bool retry_feed_pending() const override {
@@ -411,8 +341,8 @@ class ClusterBackend final : public ServingBackend {
 };
 
 /// The calendar-driven engine. Schedule events, then run() once; harvest
-/// the runtime's results from the backend's underlying object afterwards
-/// (manager.finish() / cluster.finish()). Not thread-safe; one loop per run.
+/// the runtime's results from the backend's underlying cluster afterwards
+/// (cluster.finish()). Not thread-safe; one loop per run.
 class EventLoop {
  public:
   /// The backend must outlive the loop.

@@ -132,23 +132,25 @@ std::size_t SessionManager::submit(const SessionSpec& spec) {
   return s.id;
 }
 
+void SessionManager::retire(ServingSession& s) {
+  s.phase = SessionPhase::kClosed;
+  s.departure_actual = slot_;
+  admission_.release(s.cheapest_load);
+  if (c_closed_ != nullptr) {
+    c_closed_->add(1);
+    h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
+  }
+  if (flight_ != nullptr) {
+    flight_->record(FlightEventKind::kClose, slot_, tid_,
+                    static_cast<double>(s.id),
+                    static_cast<double>(slot_ - s.arrival_actual));
+  }
+}
+
 void SessionManager::close_departures() {
   // Sweeps the dense departure mirror; the cold slab is only touched for
   // sessions actually retiring, so a no-departure slot reads one array.
-  store_.retire_departed(slot_, [&](ServingSession& s) {
-    s.phase = SessionPhase::kClosed;
-    s.departure_actual = slot_;
-    admission_.release(s.cheapest_load);
-    if (c_closed_ != nullptr) {
-      c_closed_->add(1);
-      h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(FlightEventKind::kClose, slot_, tid_,
-                      static_cast<double>(s.id),
-                      static_cast<double>(slot_ - s.arrival_actual));
-    }
-  });
+  store_.retire_departed(slot_, [this](ServingSession& s) { retire(s); });
 }
 
 void SessionManager::activate(ServingSession& s) {
@@ -329,18 +331,7 @@ std::size_t SessionManager::evict_all_active(std::vector<EvictedSession>& out) {
       [](const ServingSession&) { return true; },
       [&](ServingSession& s) {
         out.push_back(EvictedSession{s.id, s.spec});
-        s.phase = SessionPhase::kClosed;
-        s.departure_actual = slot_;
-        admission_.release(s.cheapest_load);
-        if (c_closed_ != nullptr) {
-          c_closed_->add(1);
-          h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-        }
-        if (flight_ != nullptr) {
-          flight_->record(FlightEventKind::kClose, slot_, tid_,
-                          static_cast<double>(s.id),
-                          static_cast<double>(slot_ - s.arrival_actual));
-        }
+        retire(s);
       });
   return evicted;
 }
@@ -366,18 +357,7 @@ bool SessionManager::extract_session(std::size_t session_id,
       [&](ServingSession& s) {
         out.id = s.id;
         out.spec = s.spec;  // live spec: reflects any external close
-        s.phase = SessionPhase::kClosed;
-        s.departure_actual = slot_;
-        admission_.release(s.cheapest_load);
-        if (c_closed_ != nullptr) {
-          c_closed_->add(1);
-          h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-        }
-        if (flight_ != nullptr) {
-          flight_->record(FlightEventKind::kClose, slot_, tid_,
-                          static_cast<double>(s.id),
-                          static_cast<double>(slot_ - s.arrival_actual));
-        }
+        retire(s);
       });
   return true;
 }
@@ -535,11 +515,6 @@ const AdmissionStats& SessionManager::admission_stats() const noexcept {
   return admission_.stats();
 }
 
-std::size_t SessionManager::next_pending_arrival_slot() const noexcept {
-  return pending_head_ < pending_.size() ? pending_[pending_head_]->due_slot
-                                         : kNeverDeparts;
-}
-
 std::size_t SessionManager::skip_idle_slots(std::size_t max_slots) {
   if (finished_) {
     throw std::logic_error("SessionManager::skip_idle_slots: already finished");
@@ -621,8 +596,15 @@ ServingResult SessionManager::finish() {
   return result;
 }
 
-// run_serving_scenario is defined in serving/driver/event_loop.cpp: the
-// fixed-horizon loop is now a thin wrapper over the event-driven driver, so
-// the driver is the single execution path.
+ServingResult run_serving_scenario(const ServingConfig& config,
+                                   const std::vector<SessionSpec>& specs,
+                                   ChannelModel& channel) {
+  SessionManager manager(config, channel.mean_capacity_bytes());
+  for (const SessionSpec& spec : specs) manager.submit(spec);
+  for (std::size_t t = 0; t < config.steps; ++t) {
+    manager.step(channel.next_capacity_bytes());
+  }
+  return manager.finish();
+}
 
 }  // namespace arvis

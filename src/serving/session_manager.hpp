@@ -345,11 +345,6 @@ class SessionManager {
   /// never part of the slot loop.
   [[nodiscard]] Status validate_store() const { return store_.validate(); }
 
-  /// Due slot of the earliest not-yet-admitted internal arrival, or
-  /// kNeverDeparts when none are pending. Lets an external driver know how
-  /// far it may fast-forward an idle link.
-  [[nodiscard]] std::size_t next_pending_arrival_slot() const noexcept;
-
   /// Fast-forwards the slot clock across an idle stretch: no sessions are
   /// active, so the skipped slots would only have drawn and wasted capacity.
   /// Skipped slots offer no capacity and record no metrics — an event-driven
@@ -366,6 +361,11 @@ class SessionManager {
  private:
   void admit_arrivals();
   void close_departures();
+  /// Ends active session `s` at the current slot: phase, departure slot,
+  /// admission release, the closed counter + lifetime histogram and the
+  /// kClose flight event. Every mid-run close (departure, eviction,
+  /// migration extract) goes through here.
+  void retire(ServingSession& s);
   void activate(ServingSession& s);
   void register_telemetry();
   void evaluate_brownout();
@@ -437,11 +437,9 @@ class SessionManager {
 };
 
 /// Convenience one-shot: submits `specs`, steps `config.steps` slots drawing
-/// capacity from `channel`, and finishes. The usual entry point for benches
-/// and the edge wrapper. Since the event-driven driver landed this is a thin
-/// wrapper over an EventLoop in fixed-horizon mode (defined in
-/// serving/driver/event_loop.cpp) — one execution path, bit-for-bit the
-/// results the hand-rolled loop produced (tested).
+/// capacity from `channel`, and finishes — the plain submit/step/finish
+/// loop. The usual entry point for benches and the edge wrapper; the K = 1
+/// round-robin cluster on the EventLoop reproduces it bit for bit (tested).
 ServingResult run_serving_scenario(const ServingConfig& config,
                                    const std::vector<SessionSpec>& specs,
                                    ChannelModel& channel);

@@ -82,7 +82,9 @@ TEST(EdgeClusterTest, K1RoundRobinReproducesSingleLinkBitForBit) {
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
 
   // Identically seeded Gilbert-Elliott streams so both runs draw the same
-  // time-varying capacity sequence.
+  // time-varying capacity sequence. The single link is the plain
+  // submit/step/finish loop (run_serving_scenario); the cluster runs on the
+  // EventLoop in fixed-horizon mode (run_cluster_scenario).
   GilbertElliottChannel single_channel(capacity, 0.4, 0.1, 0.3, Rng(42));
   const ServingResult single =
       run_serving_scenario(serving, specs, single_channel);

@@ -604,6 +604,86 @@ TEST(ClusterFaultTest, CloseDuringOutageRoutesToEvictionPathAndCounts) {
   EXPECT_FALSE(result.sessions[0].fault_evicted);
 }
 
+// ------------------------------------------------------------- ledger ----
+
+/// The integer value of `"key":<n>` in a flat JSON object (-1 if absent).
+long long json_count(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + needle.size()));
+}
+
+TEST(ClusterLedgerTest, LedgerIsTheOnlyBook) {
+  // Two links under a plan with every fault kind, including a link-down on
+  // an already-downed link, plus handover so migrations move. Every view of
+  // the cluster's counts — live stats, ClusterMetrics, the DriverReport —
+  // must read the one ledger.
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.placement = PlacementPolicy::kLeastLoaded;
+  config.handover.enabled = true;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> means{8.0 * load, 8.0 * load};
+
+  EdgeCluster cluster(config, means);
+  ConstantChannel a(means[0]), b(means[1]);
+  ClusterBackend backend(cluster, {&a, &b});
+  DriverConfig driver;
+  driver.snapshot_period = 10;
+  driver.live_stats_path = ::testing::TempDir() + "ledger_live_stats.json";
+  std::remove(driver.live_stats_path.c_str());
+  EventLoop loop(driver, backend);
+  for (std::size_t i = 0; i < 6; ++i) {
+    loop.schedule_arrival(0, session_spec(0, kNeverDeparts, i));
+  }
+  // Link 1's sessions fail over to link 0; the degrade pulse then hands
+  // link 0's sessions back over to link 1.
+  FaultPlan plan;
+  plan.outage(1, 10, 10)                         // down at 10, up at 20
+      .merge(FaultPlan{}.outage(1, 12, 0))       // redundant down at 12
+      .brownout(1, 25, 5, 0.5)                   // 2 capacity-scale events
+      .degrade_pulse(0, 35, 1, 0.3, 2.0, 5, 1);  // 2 degrade events
+  ASSERT_TRUE(validate_fault_plan(plan, 2).ok());
+  loop.schedule_fault_plan(plan);
+  // The last snapshot fires at the stop slot, after every fault and slot.
+  loop.schedule_stop(60);
+  const DriverReport report = loop.run();
+  const ClusterLedger live = cluster.ledger();
+
+  // The redundant down is applied (a true no-op) but is no transition.
+  EXPECT_EQ(report.faults_applied, plan.events.size());
+  EXPECT_EQ(report.faults_ignored, 0U);
+  EXPECT_EQ(live.link_down_events, 1U);
+  EXPECT_EQ(live.link_up_events, 1U);
+  EXPECT_EQ(live.capacity_scale_events, 2U);
+  EXPECT_EQ(live.link_degrade_events, 2U);
+  EXPECT_GT(live.failover_displaced, 0U);
+  EXPECT_GT(live.migrations_requested, 0U);
+
+  const std::string stats = read_file(driver.live_stats_path);
+  ASSERT_FALSE(stats.empty());
+  EXPECT_EQ(json_count(stats, "slot"), 60);
+  const std::pair<const char*, std::size_t> book[] = {
+      {"failover_displaced", live.failover_displaced},
+      {"failover_replaced", live.failover_replaced},
+      {"migrations_requested", live.migrations_requested},
+      {"migrations_completed", live.migrations_completed},
+      {"migrations_aborted", live.migrations_aborted},
+  };
+  for (const auto& [key, value] : book) {
+    EXPECT_EQ(json_count(stats, key), static_cast<long long>(value)) << key;
+  }
+  EXPECT_EQ(report.migrations_requested, live.migrations_requested);
+  EXPECT_EQ(report.migrations_completed, live.migrations_completed);
+  EXPECT_EQ(report.migrations_aborted, live.migrations_aborted);
+
+  const ClusterResult result = cluster.finish();
+  EXPECT_TRUE(static_cast<const ClusterLedger&>(result.metrics) ==
+              cluster.ledger());
+  std::remove(driver.live_stats_path.c_str());
+}
+
 // -------------------------------------------------------- retry/backoff ----
 
 TEST(RetryTest, StormSchedulesBacksOffAndAbandons) {

@@ -133,11 +133,11 @@ TEST(MigrationTest, ExplicitMigrationRecordsFlightEventAndRejectsBadInput) {
   ASSERT_TRUE(cluster.set_link_state(1, true));
   EXPECT_FALSE(cluster.migrate_session(id, 1));   // target down
   ASSERT_TRUE(cluster.set_link_state(1, false));
-  EXPECT_EQ(cluster.migrations_requested(), 0U);
+  EXPECT_EQ(cluster.ledger().migrations_requested, 0U);
 
   ASSERT_TRUE(cluster.migrate_session(id, 1));
-  EXPECT_EQ(cluster.migrations_requested(), 1U);
-  EXPECT_EQ(cluster.migrations_completed(), 1U);
+  EXPECT_EQ(cluster.ledger().migrations_requested, 1U);
+  EXPECT_EQ(cluster.ledger().migrations_completed, 1U);
 
   // The flight ring carries the migration: a = session id, b encodes
   // reason 2 (explicit), from link 0, to link 1.
@@ -174,9 +174,9 @@ TEST(MigrationTest, AbortedMigrationFallsBackToDisplacedPath) {
   ASSERT_EQ(cluster.link(0).active_count(), 1U);
 
   EXPECT_FALSE(cluster.migrate_session(id, 1));
-  EXPECT_EQ(cluster.migrations_requested(), 1U);
-  EXPECT_EQ(cluster.migrations_completed(), 0U);
-  EXPECT_EQ(cluster.migrations_aborted(), 1U);
+  EXPECT_EQ(cluster.ledger().migrations_requested, 1U);
+  EXPECT_EQ(cluster.ledger().migrations_completed, 0U);
+  EXPECT_EQ(cluster.ledger().migrations_aborted, 1U);
 
   for (std::size_t t = 0; t < 10; ++t) cluster.step(caps);
   const ClusterResult result = cluster.finish();
@@ -248,7 +248,7 @@ TEST(DegradeTest, DriverAppliesLinkDegradeEventsAndCounts) {
   const DriverReport report = loop.run();
 
   EXPECT_EQ(report.faults_applied, 3U);  // 2 ramp stages + recovery
-  EXPECT_EQ(report.link_degrade_events, 3U);
+  EXPECT_EQ(cluster.ledger().link_degrade_events, 3U);
   EXPECT_EQ(report.faults_ignored, 0U);
   EXPECT_EQ(cluster.link_degrade_scale(1), 1.0);  // recovered by the end
   const ClusterResult result = cluster.finish();
@@ -530,7 +530,6 @@ TEST(MigrationChurnTest, BooksReconcileUnderChurnAndFlappingDegradation) {
   EXPECT_EQ(result.report.migrations_requested, m.migrations_requested);
   EXPECT_EQ(result.report.migrations_completed, m.migrations_completed);
   EXPECT_EQ(result.report.migrations_aborted, m.migrations_aborted);
-  EXPECT_EQ(result.report.link_degrade_events, m.link_degrade_events);
 
   // Same seed, same walk, same books — bit for bit.
   const ReplayResult again = run();

@@ -13,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <variant>
 
 #include "common/rng.hpp"
@@ -24,6 +25,8 @@
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session_manager.hpp"
+#include "serving/telemetry/flight_recorder.hpp"
+#include "serving/telemetry/registry.hpp"
 #include "sim/replication.hpp"
 
 namespace arvis {
@@ -698,6 +701,62 @@ TEST(SessionManagerTest, ChurnBookkeeping) {
   EXPECT_THROW(manager.submit(spec), std::logic_error);
 }
 
+TEST(SessionManagerTest, EveryMidRunCloseCountsOnceAndFinishCountsNone) {
+  // Departure, migration extract and eviction all retire through one path:
+  // each bumps the closed counter and lifetime histogram once, records one
+  // kClose flight event (a = id, b = lifetime) and releases its admission
+  // reservation. finish() closes what is still active without either.
+  ServingConfig config = small_config();
+  TelemetryRegistry registry;
+  FlightRecorder recorder;
+  config.telemetry.mode = TelemetryMode::kCounters;
+  config.telemetry.registry = &registry;
+  config.telemetry.flight = &recorder;
+  const double load = cheapest_load(config.candidates);
+  ConstantChannel channel(8.0 * load);
+  SessionManager manager(config, channel.mean_capacity_bytes());
+
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  spec.departure_slot = 10;
+  manager.submit(spec);  // id 0: departs at 10
+  spec.departure_slot = kNeverDeparts;
+  manager.submit(spec);  // id 1: extracted at 15
+  spec.arrival_slot = 5;
+  manager.submit(spec);  // id 2: evicted at 20
+  spec.arrival_slot = 0;
+  manager.submit(spec);  // id 3: evicted at 20
+  spec.arrival_slot = 25;
+  manager.submit(spec);  // id 4: still active at finish
+
+  while (manager.slot() < 15) manager.step(channel.next_capacity_bytes());
+  SessionManager::MigratedSession carried;
+  ASSERT_TRUE(manager.extract_session(1, carried));
+  while (manager.slot() < 20) manager.step(channel.next_capacity_bytes());
+  std::vector<EvictedSession> evicted;
+  EXPECT_EQ(manager.evict_all_active(evicted), 2U);
+  EXPECT_NEAR(manager.admission().reserved_load(), 0.0, 1e-9 * load);
+  while (manager.slot() < 30) manager.step(channel.next_capacity_bytes());
+  const ServingResult result = manager.finish();
+
+  const std::size_t departures[] = {10, 15, 20, 20, 30};
+  for (std::size_t id = 0; id < 5; ++id) {
+    EXPECT_EQ(result.sessions[id].departure_slot, departures[id]) << id;
+  }
+  EXPECT_EQ(registry.find_counter("link0/sessions_closed")->value(), 4U);
+  EXPECT_EQ(registry.find_histogram("link0/session_lifetime_slots")->count(),
+            4U);
+  std::vector<std::pair<double, double>> closes;
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    const FlightEvent& e = recorder.at(i);
+    if (e.kind == FlightEventKind::kClose) closes.emplace_back(e.a, e.b);
+  }
+  std::sort(closes.begin(), closes.end());
+  const std::vector<std::pair<double, double>> want = {
+      {0.0, 10.0}, {1.0, 15.0}, {2.0, 15.0}, {3.0, 20.0}};
+  EXPECT_EQ(closes, want);
+}
+
 TEST(SessionManagerTest, Validation) {
   ServingConfig config = small_config();
   SessionManager manager(config, 1e6);
@@ -1004,61 +1063,6 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
   EXPECT_EQ(legacy.fleet.capacity_offered, true_pf.fleet.capacity_offered);
 }
 
-// ------------------------------------------------- Serving end-to-end ----
-
-TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
-  // run_serving_scenario is now a thin wrapper over the event-driven
-  // EventLoop (dense mode + stop event). It must reproduce the pre-driver
-  // hand-rolled fixed-horizon loop bit for bit — same submit order, one step
-  // per slot, same capacity draws.
-  ServingConfig config = small_config();
-  config.steps = 150;
-  config.trace_mode = TraceMode::kAll;  // compares per-slot traces
-  config.policy = SchedulerPolicy::kProportionalFair;
-  const auto specs = churn_specs(9);
-  const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
-
-  // The reference: the loop run_serving_scenario used to be.
-  GilbertElliottChannel hand_channel(capacity, 0.4, 0.1, 0.3, Rng(23));
-  SessionManager manager(config, hand_channel.mean_capacity_bytes());
-  for (const SessionSpec& spec : specs) manager.submit(spec);
-  for (std::size_t t = 0; t < config.steps; ++t) {
-    manager.step(hand_channel.next_capacity_bytes());
-  }
-  const ServingResult hand = manager.finish();
-
-  GilbertElliottChannel loop_channel(capacity, 0.4, 0.1, 0.3, Rng(23));
-  const ServingResult looped =
-      run_serving_scenario(config, specs, loop_channel);
-
-  ASSERT_EQ(hand.sessions.size(), looped.sessions.size());
-  for (std::size_t i = 0; i < hand.sessions.size(); ++i) {
-    const SessionOutcome& a = hand.sessions[i];
-    const SessionOutcome& b = looped.sessions[i];
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.arrival_slot, b.arrival_slot);
-    EXPECT_EQ(a.departure_slot, b.departure_slot);
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << "session " << i;
-    for (std::size_t t = 0; t < a.trace.size(); ++t) {
-      EXPECT_EQ(a.trace.at(t).depth, b.trace.at(t).depth);
-      EXPECT_EQ(a.trace.at(t).arrivals, b.trace.at(t).arrivals);
-      EXPECT_EQ(a.trace.at(t).service, b.trace.at(t).service);
-      EXPECT_EQ(a.trace.at(t).backlog_begin, b.trace.at(t).backlog_begin);
-      EXPECT_EQ(a.trace.at(t).backlog_end, b.trace.at(t).backlog_end);
-      EXPECT_EQ(a.trace.at(t).quality, b.trace.at(t).quality);
-    }
-  }
-  EXPECT_EQ(hand.admission.attempts, looped.admission.attempts);
-  EXPECT_EQ(hand.admission.accepted, looped.admission.accepted);
-  EXPECT_EQ(hand.admission.rejected, looped.admission.rejected);
-  EXPECT_EQ(hand.fleet.capacity_offered, looped.fleet.capacity_offered);
-  EXPECT_EQ(hand.fleet.capacity_used, looped.fleet.capacity_used);
-  EXPECT_EQ(hand.fleet.quality_fairness, looped.fleet.quality_fairness);
-  EXPECT_EQ(hand.fleet.total_time_average_backlog,
-            looped.fleet.total_time_average_backlog);
-  EXPECT_EQ(hand.fleet.peak_concurrency, looped.fleet.peak_concurrency);
-}
-
 // -------------------------------------------------------- Session store ----
 
 const FrameStatsCache& alt_cache() {
@@ -1306,6 +1310,8 @@ TEST(SessionStoreTest, MemoHashGrowsMidScanAndStaysExact) {
     }
   }
 }
+
+// ------------------------------------------------- Serving end-to-end ----
 
 TEST(ServingScenarioTest, AdmissionKeepsFleetStable) {
   // Twice as many sessions as the link's stability region fits; admission
