@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -540,7 +541,17 @@ void EdgeCluster::evaluate_handover() {
 
   // Drain links in handover: worst-served sessions (largest backlog, ties
   // by runtime id so store compaction order cannot leak into the drain
-  // order) migrate first, paced by max_migrations_per_slot.
+  // order) migrate first, paced by max_migrations_per_slot. The drain
+  // consumes only a handful of candidates from thousands, so it pops them
+  // lazily off a heap — O(n + m log n) for m visited — in exactly the
+  // (backlog desc, id asc) order a full sort would give, out-of-budget
+  // skips included. The heap's comparator is that order reversed: the
+  // front is the worst-served session.
+  const auto later = [](const std::pair<double, std::size_t>& a,
+                        const std::pair<double, std::size_t>& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  };
   for (std::size_t k = 0; k < n; ++k) {
     if (handover_active_[k] == 0) continue;
     SessionManager& src = *links_[k];
@@ -553,16 +564,14 @@ void EdgeCluster::evaluate_handover() {
     for (std::size_t i = 0; i < active; ++i) {
       migrate_scratch_.emplace_back(backlogs[i], src.active_session_id(i));
     }
-    std::sort(migrate_scratch_.begin(), migrate_scratch_.end(),
-              [](const std::pair<double, std::size_t>& a,
-                 const std::pair<double, std::size_t>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    std::make_heap(migrate_scratch_.begin(), migrate_scratch_.end(), later);
     std::size_t attempts = 0;
-    for (const auto& [backlog, rid] : migrate_scratch_) {
-      if (attempts >= hp.max_migrations_per_slot) break;
-      Entry& e = *entries_[owner_of(rid)];
+    for (auto end = migrate_scratch_.end();
+         end != migrate_scratch_.begin() &&
+         attempts < hp.max_migrations_per_slot;
+         --end) {
+      std::pop_heap(migrate_scratch_.begin(), end, later);
+      Entry& e = *entries_[owner_of(std::prev(end)->second)];
       if (!within_budget(e)) continue;
       ++attempts;  // aborts count against the pace: no same-slot retry storm
       do_migrate(e.id, static_cast<std::size_t>(target), 0);

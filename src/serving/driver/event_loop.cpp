@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/log.hpp"
 #include "serving/metrics.hpp"
@@ -321,16 +322,31 @@ void EventLoop::write_live_stats(const MetricsSnapshot& snapshot) {
   out += ",\"window_utilization\":" +
          std::to_string(snapshot.window_utilization);
   out += ",\"link_fairness\":" + std::to_string(snapshot.link_load_fairness);
-  // Fault-plane traffic from the cluster's ledger, so a watcher sees
-  // handover/migration activity next to the failover books live.
+  // The cluster's whole ledger, so a watcher sees placement, link
+  // transitions, handover and migration activity live, and can check the
+  // failover book (displaced == replaced + evicted + closed) from the file.
   const FaultPlaneSample fp = backend_->sample_fault_plane();
-  out += ",\"failover_displaced\":" + std::to_string(fp.failover_displaced);
-  out += ",\"failover_replaced\":" + std::to_string(fp.failover_replaced);
-  out += ",\"migrations_requested\":" +
-         std::to_string(fp.migrations_requested);
-  out += ",\"migrations_completed\":" +
-         std::to_string(fp.migrations_completed);
-  out += ",\"migrations_aborted\":" + std::to_string(fp.migrations_aborted);
+  const std::pair<const char*, std::size_t> ledger[] = {
+      {"failover_displaced", fp.failover_displaced},
+      {"failover_replaced", fp.failover_replaced},
+      {"migrations_requested", fp.migrations_requested},
+      {"migrations_completed", fp.migrations_completed},
+      {"migrations_aborted", fp.migrations_aborted},
+      {"fault_evicted", fp.fault_evicted},
+      {"fault_closed", fp.fault_closed},
+      {"placed", fp.placed},
+      {"spills", fp.spills},
+      {"placement_rejects", fp.placement_rejects},
+      {"link_down_events", fp.link_down_events},
+      {"link_up_events", fp.link_up_events},
+      {"capacity_scale_events", fp.capacity_scale_events},
+      {"link_degrade_events", fp.link_degrade_events},
+  };
+  for (const auto& [key, value] : ledger) {
+    out += ",\"";
+    out += key;
+    out += "\":" + std::to_string(value);
+  }
   out += ",\"config\":";
   out += config_.config_echo.empty() ? "null" : config_.config_echo.c_str();
   out += ",\"slo\":[";

@@ -1,6 +1,7 @@
 #include "serving/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,6 +55,26 @@ void fill_indices(std::vector<std::size_t>& index, std::size_t n) {
 /// priorities.
 bool same_tier(double a, double b) noexcept {
   return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+}
+
+/// Marks a free slot of WeightedPriorityScheduler's distinct-weight table.
+constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFU;
+
+/// Open-addressed lookup over a power-of-two table of bucket ids: the slot
+/// holding the bucket whose value has these bits, or the empty slot where
+/// it belongs. Fibonacci hashing takes the product's top bits, which depend
+/// on every bit of the key (weights such as 1.0, 2.0, 4.0 differ only in
+/// their exponent).
+std::size_t probe(const std::vector<std::uint32_t>& table,
+                  const std::vector<double>& values, std::uint64_t bits) {
+  const std::size_t mask = table.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(
+      (bits * 0x9E3779B97F4A7C15ULL) >> (64 - std::countr_zero(table.size())));
+  while (table[slot] != kEmptySlot &&
+         std::bit_cast<std::uint64_t>(values[table[slot]]) != bits) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
 }  // namespace
@@ -262,24 +283,81 @@ void ProportionalFairScheduler::allocate(double capacity,
 
 void WeightedPriorityScheduler::rebuild_tiers(const SchedulerInput& demands) {
   const std::size_t n = demands.size();
-  // Sorted index permutation (weight descending, index ascending for
-  // determinism); tiers are maximal runs of epsilon-equal adjacent weights.
-  fill_indices(perm_, n);
-  std::sort(perm_.begin(), perm_.end(), [&](std::size_t a, std::size_t b) {
-    if (demands.weight[a] != demands.weight[b]) {
-      return demands.weight[a] > demands.weight[b];
+  // The permutation is the one a sort by (weight desc, index asc) yields,
+  // built as a stable counting partition over the k distinct weights.
+  //
+  // 1. Bucket every session by its weight. Keys are the bits of w + 0.0,
+  //    which folds -0.0 into +0.0 so the two share a bucket exactly as `!=`
+  //    equates them. bucket_fill_ counts each bucket's sessions.
+  if (table_.empty()) table_.resize(16);
+  std::fill(table_.begin(), table_.end(), kEmptySlot);
+  bucket_value_.clear();
+  bucket_fill_.clear();
+  bucket_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = demands.weight[i] + 0.0;
+    const std::size_t slot =
+        probe(table_, bucket_value_, std::bit_cast<std::uint64_t>(w));
+    std::uint32_t bucket = table_[slot];
+    if (bucket == kEmptySlot) {
+      bucket = static_cast<std::uint32_t>(bucket_value_.size());
+      table_[slot] = bucket;
+      bucket_value_.push_back(w);
+      bucket_fill_.push_back(0);
+      // Keep the table at most half full; it only ever grows, so
+      // steady-state rebuilds allocate nothing.
+      if (2 * bucket_value_.size() > table_.size()) {
+        table_.assign(2 * table_.size(), kEmptySlot);
+        for (std::uint32_t b = 0; b < bucket_value_.size(); ++b) {
+          table_[probe(table_, bucket_value_,
+                       std::bit_cast<std::uint64_t>(bucket_value_[b]))] = b;
+        }
+      }
     }
-    return a < b;
-  });
+    bucket_of_[i] = bucket;
+    ++bucket_fill_[bucket];
+  }
+
+  // 2. Order the k buckets by descending weight (distinct values, so no
+  //    ties), turn counts into start offsets, and scatter sessions in
+  //    ascending index order: within a bucket the index order survives.
+  order_.resize(bucket_value_.size());
+  for (std::uint32_t b = 0; b < order_.size(); ++b) order_[b] = b;
+  std::sort(order_.begin(), order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return bucket_value_[a] > bucket_value_[b];
+            });
+  std::size_t offset = 0;
+  for (const std::uint32_t b : order_) {
+    const std::size_t count = bucket_fill_[b];
+    bucket_fill_[b] = offset;
+    offset += count;
+  }
+  perm_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) perm_[bucket_fill_[bucket_of_[i]]++] = i;
+
+  // 3. Tiers are maximal runs of same_tier neighbours in that permutation.
+  //    Across a bucket boundary the neighbours are the two distinct values;
+  //    inside a bucket every neighbour pair is (w, w), which fails same_tier
+  //    only for inf and NaN — those sessions stand alone, one tier each.
+  //    bucket_fill_[b] now holds the end of bucket b.
   tier_bounds_.clear();
   std::size_t begin = 0;
-  while (begin < n) {
-    std::size_t end = begin + 1;
-    while (end < n && same_tier(demands.weight[perm_[end - 1]],
-                                demands.weight[perm_[end]])) {
-      ++end;
+  for (std::size_t r = 0; r < order_.size(); ++r) {
+    const double w = bucket_value_[order_[r]];
+    const std::size_t end = bucket_fill_[order_[r]];
+    if (r > 0 && same_tier(bucket_value_[order_[r - 1]], w)) {
+      tier_bounds_.back().second = begin + 1;
+    } else {
+      tier_bounds_.emplace_back(begin, begin + 1);
     }
-    tier_bounds_.emplace_back(begin, end);
+    if (same_tier(w, w)) {
+      tier_bounds_.back().second = end;
+    } else {
+      for (std::size_t p = begin + 1; p < end; ++p) {
+        tier_bounds_.emplace_back(p, p + 1);
+      }
+    }
     begin = end;
   }
 }
@@ -296,9 +374,11 @@ void WeightedPriorityScheduler::allocate(double capacity,
   }
 
   // Uniform fleet (hinted by the store's weight histogram, or detected in
-  // one compare pass): the sort would be the identity permutation and the
-  // tier split one maximal run, so the whole policy degenerates to a single
-  // water-fill over everyone — bit-identical, no sort, no permutation.
+  // one compare pass): the permutation would be the identity and the tier
+  // split one maximal run, so the whole policy degenerates to a single
+  // water-fill over everyone — bit-identical, no partition. An inf or NaN
+  // weight fails same_tier against itself, one tier per session, so such a
+  // fleet takes the tier path.
   bool uniform = demands.uniform_weights == 1;
   if (demands.uniform_weights < 0) {
     uniform = true;
@@ -309,7 +389,7 @@ void WeightedPriorityScheduler::allocate(double capacity,
       }
     }
   }
-  if (uniform) {
+  if (uniform && same_tier(demands.weight[0], demands.weight[0])) {
     ++stats_.fast_path;
     if (capacity > 0.0) {
       fill_indices(tier_, n);
@@ -319,14 +399,14 @@ void WeightedPriorityScheduler::allocate(double capacity,
   }
 
   // Weights belong to sessions and sessions only change at lifecycle edges,
-  // so the sorted tier permutation is valid as long as the caller's
-  // membership generation holds still: the O(n log n) sort runs once per
-  // arrival/departure batch, not once per slot.
+  // so the tier permutation is valid as long as the caller's membership
+  // generation holds still: the linear rebuild runs once per
+  // arrival/departure batch, and not at all in a slot without churn.
   const bool cached = demands.membership_generation != 0 &&
                       demands.membership_generation == cached_generation_ &&
                       perm_.size() == n;
   if (!cached) {
-    ++stats_.generic;  // membership changed: pay the O(n log n) sort
+    ++stats_.generic;  // membership changed: rebuild the partition
     rebuild_tiers(demands);
     cached_generation_ = demands.membership_generation;
   } else {

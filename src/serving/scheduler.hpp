@@ -18,10 +18,12 @@
 // kernels, bit for bit.
 //
 // Steady-state cost is kept proportional to what changed, not to the
-// population, wherever that is possible without perturbing a single bit:
-// the input carries O(changed) aggregate hints (membership generation,
-// weight uniformity) maintained by the session store at lifecycle edges, so
-// weighted-priority reuses its sorted tier permutation across slots; the
+// population, wherever that is possible without perturbing a single bit.
+// No policy sorts the sessions: weighted-priority's tier permutation is a
+// linear counting partition over the distinct weights, and the input's
+// O(changed) aggregate hints (membership generation, weight uniformity),
+// maintained by the session store at lifecycle edges, only let it skip that
+// rebuild while membership holds still or all weights are equal; the
 // multi-round policies run a fused first round over the implicit full index
 // range (no index-list materialization, no zero-fill pass) that reproduces
 // the generic round's arithmetic operation for operation; DRR initializes
@@ -76,7 +78,7 @@ struct SchedulerInput {
   /// Monotone generation of the active-set membership behind these spans.
   /// Nonzero generations promise: equal generation (from the same caller) ⇒
   /// identical session set in identical index order with identical weights,
-  /// so policies may cache cross-slot structure (weighted-priority's sorted
+  /// so policies may cache cross-slot structure (weighted-priority's
   /// tier permutation) keyed on it. 0 = unknown/uncacheable (the adapter
   /// default) — rebuild every call.
   std::uint64_t membership_generation = 0;
@@ -195,17 +197,25 @@ class ProportionalFairScheduler final : public EdgeScheduler {
 /// equal-split water-filling. Starvation of low tiers under overload is the
 /// intended behaviour (premium sessions).
 ///
-/// Tiers are found by sorting an index permutation by weight (descending,
-/// index-stable) and splitting where adjacent weights differ by more than a
+/// The tier order is the index permutation sorted by (weight descending,
+/// index ascending), split where adjacent weights differ by more than a
 /// relative epsilon — never by exact `double ==`, so weights that should be
 /// equal but were produced by different arithmetic paths (0.1 + 0.2 vs 0.3)
 /// land in one tier instead of silently forming a phantom priority level.
-/// The permutation (and its tier split) is cached across slots: weights only
-/// change when the membership does, so while the caller's
-/// membership_generation holds still the O(n log n) sort is skipped
-/// entirely, and a uniform fleet (uniform_weights hint, or detected) skips
-/// tier-finding altogether — one water-fill over everyone, which is exactly
-/// what the sort degenerates to when all weights are equal.
+/// rebuild_tiers() builds that permutation without sorting the sessions: a
+/// stable counting partition over the k distinct weight values (found with
+/// an open-addressed table, sorted among themselves — k is 1–3 for QoS
+/// classes), then tier bounds from merging adjacent distinct values, O(k).
+/// The whole rebuild is O(n + k log k) and reuses member scratch, so a slot
+/// that rebuilds still allocates nothing. The permutation is cached while
+/// the caller's membership_generation holds still; under churn the
+/// generation moves almost every slot and the rebuild runs every slot.
+/// Rebuilds still count as stats().generic (the `scheduler_generic` registry
+/// counter) and reuses as fast_path, so the fast-path ratio keeps its
+/// meaning: the share of slots that skipped the rebuild. A uniform
+/// fleet (uniform_weights hint, or detected) skips the partition
+/// altogether — one water-fill over everyone, which is exactly what the
+/// partition degenerates to when all weights are equal.
 class WeightedPriorityScheduler final : public EdgeScheduler {
  public:
   using EdgeScheduler::allocate;
@@ -224,6 +234,14 @@ class WeightedPriorityScheduler final : public EdgeScheduler {
   // caller's nonzero membership generation (and n is unchanged).
   std::vector<std::pair<std::size_t, std::size_t>> tier_bounds_;
   std::uint64_t cached_generation_ = 0;
+  // rebuild_tiers() scratch: the open-addressed table of bucket ids, each
+  // bucket's weight and fill cursor, each session's bucket, and the buckets
+  // in descending weight order.
+  std::vector<std::uint32_t> table_;
+  std::vector<double> bucket_value_;
+  std::vector<std::size_t> bucket_fill_;
+  std::vector<std::uint32_t> bucket_of_;
+  std::vector<std::uint32_t> order_;
 };
 
 /// Deficit round-robin, byte-granular: each round every positive-weight

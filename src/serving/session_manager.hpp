@@ -292,7 +292,7 @@ class SessionManager {
 
   /// Active session i's runtime id — the handover candidate scan, paired
   /// with the index-parallel active_backlogs() span.
-  [[nodiscard]] std::size_t active_session_id(std::size_t i) noexcept {
+  [[nodiscard]] std::size_t active_session_id(std::size_t i) const noexcept {
     return store_.active_session(i).id;
   }
   /// The active fleet's backlog mirror (index-parallel with the ids above).

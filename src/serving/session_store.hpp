@@ -46,7 +46,7 @@
 // The store also maintains exact O(changed) aggregates for the scheduler:
 // a membership generation (bumped on any activation/retirement) and a
 // weight histogram keyed by weight bit patterns (per-tier session counts),
-// which let weighted policies reuse their sorted tier permutation across
+// which let weighted policies reuse their tier permutation across
 // slots and skip tier-finding entirely for uniform fleets. Floating-point
 // *sums* are deliberately not maintained incrementally: an incrementally
 // updated sum rounds differently from the canonical left-to-right pass, and
@@ -320,6 +320,12 @@ class SessionStore {
     return active_.size();
   }
   [[nodiscard]] ServingSession& active_session(std::size_t i) noexcept {
+    ARVIS_DCHECK_LT(i, active_.size());
+    ARVIS_DCHECK_MSG(active_[i] != nullptr, "poisoned active slot");
+    return *active_[i];
+  }
+  [[nodiscard]] const ServingSession& active_session(
+      std::size_t i) const noexcept {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(active_[i] != nullptr, "poisoned active slot");
     return *active_[i];

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -19,6 +20,7 @@
 #include "net/streaming.hpp"
 #include "serving/admission.hpp"
 #include "serving/cluster.hpp"
+#include "serving/scheduler.hpp"
 #include "serving/session_manager.hpp"
 #include "support/alloc_probe.hpp"
 #include "support/cluster_equality.hpp"
@@ -444,6 +446,79 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
         << " heap allocations over 60 slots at threads=" << threads;
     static_cast<void>(cluster.finish());
   }
+}
+
+TEST(AllocationProbeTest, WeightedPriorityRebuildAndHandoverAreAllocationFree) {
+  // Under churn the membership generation moves every slot, so
+  // weighted-priority rebuilds its tier partition on every call; once its
+  // scratch has grown to the largest fleet, a rebuild allocates nothing.
+  constexpr std::size_t kMaxSessions = 3000;
+  std::vector<double> backlog(kMaxSessions), arrivals(kMaxSessions),
+      weight(kMaxSessions);
+  double demand = 0.0;
+  for (std::size_t i = 0; i < kMaxSessions; ++i) {
+    backlog[i] = 100.0 + static_cast<double>(i * 37 % 500);
+    arrivals[i] = static_cast<double>(i * 13 % 200);
+    demand += backlog[i] + arrivals[i];
+  }
+  constexpr double kClasses[] = {1.0, 2.0, 4.0};
+  WeightedPriorityScheduler wp;
+  std::vector<double> shares;
+  const auto allocate = [&](std::size_t n, std::uint64_t generation) {
+    for (std::size_t i = 0; i < n; ++i) {
+      weight[i] = kClasses[(i * 7 + generation) % 3];
+    }
+    SchedulerInput input{std::span<const double>(backlog).first(n),
+                         std::span<const double>(arrivals).first(n),
+                         std::span<const double>(weight).first(n),
+                         {}};
+    input.membership_generation = generation;
+    input.uniform_weights = 0;
+    wp.allocate(0.5 * demand, input, shares);
+  };
+  allocate(kMaxSessions, 1);  // warm-up: scratch grows to the largest fleet
+
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t generation = 2; generation <= 50; ++generation) {
+    allocate(kMaxSessions - generation * 61 % 1000, generation);
+  }
+  std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0U)
+      << "weighted-priority rebuilds performed " << (after - before)
+      << " heap allocations over 49 calls";
+  EXPECT_EQ(wp.stats().generic, 50U) << "every call must rebuild";
+
+  // A cluster step with link 0 in handover: the drain heapifies and visits
+  // every candidate (a zero budget skips them all, so nobody migrates and
+  // the membership, hence the measured work, stays fixed).
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.policy = SchedulerPolicy::kWeightedPriority;
+  config.handover.enabled = true;
+  config.handover.session_budget = 0;
+  const double capacity = 4.0 * shared_cache().workload(0).bytes(4);
+  EdgeCluster cluster(config, {capacity, capacity});
+  for (std::size_t i = 0; i < 8; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.weight = kClasses[i % 3];
+    spec.seed = i;
+    cluster.submit(spec);
+  }
+  ASSERT_TRUE(cluster.set_link_degrade(0, 0.2, 3.0));
+  std::vector<double> caps{capacity, capacity};
+  for (int t = 0; t < 30; ++t) cluster.step(caps);
+  ASSERT_TRUE(cluster.handover_active(0));
+  ASSERT_GT(cluster.link(0).active_count(), 1U);
+
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int t = 0; t < 60; ++t) cluster.step(caps);
+  after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0U)
+      << "handover slot loop performed " << (after - before)
+      << " heap allocations over 60 slots";
+  EXPECT_EQ(cluster.ledger().migrations_requested, 0U);
+  static_cast<void>(cluster.finish());
 }
 
 }  // namespace

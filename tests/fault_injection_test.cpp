@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datasets/catalog.hpp"
@@ -664,16 +666,33 @@ TEST(ClusterLedgerTest, LedgerIsTheOnlyBook) {
   const std::string stats = read_file(driver.live_stats_path);
   ASSERT_FALSE(stats.empty());
   EXPECT_EQ(json_count(stats, "slot"), 60);
+  // Every one of the ledger's 14 counts is published under its own key.
   const std::pair<const char*, std::size_t> book[] = {
+      {"placed", live.placed},
+      {"spills", live.spills},
+      {"placement_rejects", live.placement_rejects},
+      {"link_down_events", live.link_down_events},
+      {"link_up_events", live.link_up_events},
+      {"capacity_scale_events", live.capacity_scale_events},
+      {"link_degrade_events", live.link_degrade_events},
       {"failover_displaced", live.failover_displaced},
       {"failover_replaced", live.failover_replaced},
+      {"fault_evicted", live.fault_evicted},
+      {"fault_closed", live.fault_closed},
       {"migrations_requested", live.migrations_requested},
       {"migrations_completed", live.migrations_completed},
       {"migrations_aborted", live.migrations_aborted},
   };
+  static_assert(sizeof(ClusterLedger) == std::size(book) * sizeof(std::size_t),
+                "a new ledger count needs a live-stats key");
   for (const auto& [key, value] : book) {
     EXPECT_EQ(json_count(stats, key), static_cast<long long>(value)) << key;
   }
+  // The failover book balances from the file alone.
+  EXPECT_EQ(json_count(stats, "failover_displaced"),
+            json_count(stats, "failover_replaced") +
+                json_count(stats, "fault_evicted") +
+                json_count(stats, "fault_closed"));
   EXPECT_EQ(report.migrations_requested, live.migrations_requested);
   EXPECT_EQ(report.migrations_completed, live.migrations_completed);
   EXPECT_EQ(report.migrations_aborted, live.migrations_aborted);

@@ -9,8 +9,10 @@
 // policy-idle bit-identity (an enabled-but-quiet policy changes nothing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "datasets/catalog.hpp"
@@ -390,6 +392,115 @@ TEST(HandoverPolicyTest, SessionBudgetSuppressesPingPong) {
     worst = std::max(worst, s.migrations);
   }
   EXPECT_GT(worst, 1U) << "the flap must actually ping-pong when allowed";
+}
+
+TEST(HandoverPolicyTest, DrainOrderIsWorstBacklogFirstPastBudgetSkips) {
+  // Twelve sessions on link 0 in four arrival groups of three: a group's
+  // sessions are identical, so their backlogs tie exactly. The worst-served
+  // sessions spend their ping-pong budget first, then link 0 degrades. The
+  // drain must visit candidates in (backlog desc, runtime id asc) order,
+  // skip the spent ones, and migrate exactly the next
+  // max_migrations_per_slot — the cut falls inside a backlog tie, so the id
+  // tie-break decides who moves.
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.serving.policy = SchedulerPolicy::kWorkConserving;
+  config.handover.enabled = true;
+  config.handover.delay_weight = 0.1;
+  config.handover.max_migrations_per_slot = 2;
+  config.handover.window_slots = 1'000'000;  // one budget for the whole run
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> means{16.0 * load, 16.0 * load};
+  // Link 0 runs below its sessions' demand, so backlogs build up.
+  const std::vector<double> caps{6.0 * load, 16.0 * load};
+
+  EdgeCluster cluster(config, means);
+  ASSERT_TRUE(cluster.set_link_state(1, true));  // everyone lands on link 0
+  for (std::size_t i = 0; i < 12; ++i) {
+    cluster.submit(session_spec(i / 3, kNeverDeparts));
+  }
+  for (std::size_t t = 0; t < 4; ++t) cluster.step(caps);
+  ASSERT_TRUE(cluster.set_link_state(1, false));
+  for (std::size_t t = 0; t < 16; ++t) cluster.step(caps);
+  ASSERT_EQ(cluster.link(0).active_count(), 12U);
+
+  // (backlog, runtime id) of link 0's sessions, in drain order.
+  const auto drain_order = [&] {
+    std::vector<std::pair<double, std::size_t>> order;
+    const SessionManager& link0 = cluster.link(0);
+    for (std::size_t i = 0; i < link0.active_count(); ++i) {
+      order.emplace_back(link0.active_backlogs()[i],
+                         link0.active_session_id(i));
+    }
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    return order;
+  };
+
+  // Spend the budget (2) of the worst-served group: a round trip to link 1
+  // and back, which carries the backlog and mints fresh runtime ids. Until
+  // then a runtime id is its session id (every session placed at arrival).
+  const auto before = drain_order();
+  ASSERT_EQ(before[0].first, before[2].first) << "premise: a tied group";
+  std::vector<std::size_t> in_budget;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (i < 3) {
+      ASSERT_TRUE(cluster.migrate_session(before[i].second, 1));
+      ASSERT_TRUE(cluster.migrate_session(before[i].second, 0));
+    } else {
+      in_budget.push_back(before[i].second);
+    }
+  }
+
+  // The first in-budget pair are the next group's first two sessions by
+  // id, and its third (tied) one stays behind.
+  const auto order = drain_order();
+  std::vector<std::size_t> expected;
+  std::size_t skipped = 0;
+  for (const auto& [backlog, rid] : order) {
+    if (std::find(in_budget.begin(), in_budget.end(), rid) ==
+        in_budget.end()) {
+      ++skipped;
+      EXPECT_TRUE(expected.empty()) << "spent sessions lead the order";
+    } else if (expected.size() < config.handover.max_migrations_per_slot) {
+      expected.push_back(rid);
+    }
+  }
+  ASSERT_EQ(skipped, 3U);
+  ASSERT_EQ(order[3].first, order[4].first);
+  ASSERT_EQ(order[4].first, order[5].first) << "premise: cut inside a tie";
+  ASSERT_GT(order[2].first, order[3].first);
+  const std::vector<std::size_t> second_group{order[3].second,
+                                              order[4].second};
+  ASSERT_EQ(expected, second_group);
+
+  // Degrade link 0 (score 0.8 + 0.3 >= enter): one handover slot.
+  const ClusterLedger ledger_before = cluster.ledger();
+  ASSERT_TRUE(cluster.set_link_degrade(0, 0.2, 3.0));
+  cluster.step(caps);
+  ASSERT_TRUE(cluster.handover_active(0));
+  EXPECT_EQ(cluster.ledger().migrations_requested -
+                ledger_before.migrations_requested,
+            config.handover.max_migrations_per_slot);
+
+  // Exactly the expected sessions left link 0; everyone else stayed.
+  const SessionManager& link0 = cluster.link(0);
+  std::vector<std::size_t> remaining;
+  for (std::size_t i = 0; i < link0.active_count(); ++i) {
+    remaining.push_back(link0.active_session_id(i));
+  }
+  EXPECT_EQ(remaining.size(), 12U - expected.size());
+  for (const auto& [backlog, rid] : order) {
+    const bool moved =
+        std::find(expected.begin(), expected.end(), rid) != expected.end();
+    EXPECT_EQ(std::find(remaining.begin(), remaining.end(), rid) ==
+                  remaining.end(),
+              moved)
+        << "runtime id " << rid;
+  }
+  cluster.finish();
 }
 
 TEST(HandoverPolicyTest, RebalanceOnDepartureFillsFreedLink) {

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -160,8 +161,8 @@ TEST(SchedulerTest, WeightedPriorityGroupsWeightsFromDifferentArithmetic) {
   WeightedPriorityScheduler scheduler;
   std::vector<double> shares;
   // 0.1 + 0.2 != 0.3 in binary floating point; exact == grouping split these
-  // into a phantom priority tier and starved the "lower" one. The sorted-
-  // permutation grouping treats them as one tier: equal-split water-fill.
+  // into a phantom priority tier and starved the "lower" one. The epsilon
+  // tier grouping treats them as one tier: equal-split water-fill.
   const double w_sum = 0.1 + 0.2;
   const double w_lit = 0.3;
   ASSERT_NE(w_sum, w_lit);  // the premise: different arithmetic paths differ
@@ -528,6 +529,67 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
     if (n > 0) ++drr_calls;
     drr.allocate(capacity, input, hinted);
     ASSERT_EQ(hinted, want) << "drr hinted iter " << iter;
+  }
+}
+
+TEST(SchedulerTest, TierPartitionMatchesSortAtFleetScale) {
+  // The tier permutation is a counting partition over distinct weights; the
+  // reference sorts all n sessions. Every call carries a fresh membership
+  // generation — the churn regime, where the partition is rebuilt each
+  // slot — and the shares must match the sorted reference bit for bit.
+  // Within a tier the water-fill's running sums follow index order, so an
+  // unstable partition changes the shares' bits.
+  Rng rng(2500);
+  WeightedPriorityScheduler wp;
+  std::vector<double> shares, want;
+  std::uint64_t generation = 0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> weight_sets = {
+      {2.0},                  // one QoS class (uniform)
+      {1.0, 4.0},             // two classes
+      {1.0, 2.0, 4.0},        // three classes
+      {0.0, 1.0, 3.0},        // zero weights among live ones
+      {0.0, -0.0, 2.0},       // +0.0 and -0.0 are one weight
+      {0.1 + 0.2, 0.3, 0.5},  // epsilon-equal pair: one tier
+      {inf, 1.0},             // inf never merges with itself
+      {inf},                  // an all-inf fleet is one tier per session
+  };
+  for (const std::size_t n : {0UL, 1UL, 2UL, 17UL, 2500UL, 5000UL}) {
+    // The distinct-weight sets, then all-distinct weights (k = n).
+    for (std::size_t set = 0; set <= weight_sets.size(); ++set) {
+      for (int draw = 0; draw < 2; ++draw) {
+        std::vector<SchedulerDemand> demands = random_demands(rng, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          demands[i].weight =
+              set < weight_sets.size()
+                  ? weight_sets[set][rng.below(weight_sets[set].size())]
+                  : rng.uniform(0.0, 8.0);
+        }
+        double total = 0.0;
+        for (const SchedulerDemand& d : demands) total += d.total();
+        const double capacity = rng.uniform(0.0, total * 1.2 + 10.0);
+
+        std::vector<double> backlog(n), arrivals(n), weight(n);
+        bool bits_uniform = true;
+        for (std::size_t i = 0; i < n; ++i) {
+          backlog[i] = demands[i].backlog;
+          arrivals[i] = demands[i].arrivals;
+          weight[i] = demands[i].weight;
+          if (std::bit_cast<std::uint64_t>(weight[i]) !=
+              std::bit_cast<std::uint64_t>(weight[0])) {
+            bits_uniform = false;
+          }
+        }
+        SchedulerInput input{backlog, arrivals, weight, {}};
+        input.membership_generation = ++generation;
+        input.uniform_weights = bits_uniform ? 1 : 0;
+
+        ref::weighted_priority(capacity, demands, want);
+        wp.allocate(capacity, input, shares);
+        ASSERT_EQ(shares, want)
+            << "n=" << n << " set=" << set << " draw=" << draw;
+      }
+    }
   }
 }
 

@@ -75,9 +75,11 @@ def render(stats, path: str) -> str:
         mig_req = stats.get("migrations_requested", 0)
         mig_done = stats.get("migrations_completed", 0)
         mig_abort = stats.get("migrations_aborted", 0)
+        evicted = stats.get("fault_evicted", 0)
+        closed = stats.get("fault_closed", 0)
         lines.append(
             f"  failover     {displaced:>4} displaced "
-            f"-> {replaced} re-placed"
+            f"-> {replaced} re-placed, {evicted} evicted, {closed} closed"
         )
         lines.append(
             f"  migrations   {mig_done:>4} completed   "

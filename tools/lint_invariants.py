@@ -25,10 +25,13 @@ import re
 import sys
 
 # The hot-path TU set: the session arena + decide engine, the manager's
-# decide/drain slot loop, the schedulers, the event calendar, and the
-# telemetry record path. Everything here runs per slot (or per session·slot)
-# in the serving benchmark.
+# decide/drain slot loop, the schedulers, the cluster's placement and
+# handover step, the event calendar, and the telemetry record path.
+# Everything here runs per slot (or per session·slot) in the serving
+# benchmark.
 HOT_PATH_FILES = [
+    "src/serving/cluster.hpp",
+    "src/serving/cluster.cpp",
     "src/serving/session_store.hpp",
     "src/serving/session_store.cpp",
     "src/serving/session_manager.hpp",
