@@ -786,7 +786,7 @@ ClusterResult EdgeCluster::finish() {
   // is the one its report should carry.
   std::vector<ServingResult> link_results;
   link_results.reserve(links_.size());
-  for (auto& link : links_) link_results.push_back(link->finish());
+  for (auto& link : links_) link_results.push_back(link->finish_link());
   // entry id -> (link, index into that link's outcome list)
   std::vector<std::pair<int, std::size_t>> where(entries_.size(), {-1, 0});
   for (std::size_t k = 0; k < link_results.size(); ++k) {

@@ -101,8 +101,12 @@ void SessionManager::validate_spec(const SessionSpec& spec) const {
     throw std::invalid_argument(
         "SessionManager: departure slot already elapsed");
   }
-  if (spec.weight < 0.0) {
-    throw std::invalid_argument("SessionManager: negative weight");
+  // A NaN or infinite weight would never be granted a byte by DRR (both
+  // its ring and leftover tests are false for NaN), and the trace parser
+  // rejects them too.
+  if (!std::isfinite(spec.weight) || spec.weight < 0.0) {
+    throw std::invalid_argument(
+        "SessionManager: weight must be finite and >= 0");
   }
   if (spec.qos >= kSloTiers) {
     throw std::invalid_argument("SessionManager: qos tier out of range");
@@ -533,6 +537,12 @@ std::size_t SessionManager::skip_idle_slots(std::size_t max_slots) {
 }
 
 ServingResult SessionManager::finish() {
+  ServingResult result = finish_link();
+  result.session_table = metrics_.session_table();
+  return result;
+}
+
+ServingResult SessionManager::finish_link() {
   if (finished_) {
     throw std::logic_error("SessionManager::finish: already finished");
   }
@@ -592,7 +602,6 @@ ServingResult SessionManager::finish() {
     result.sessions.push_back(std::move(outcome));
   }
   result.fleet = metrics_.fleet();
-  result.session_table = metrics_.session_table();
   return result;
 }
 

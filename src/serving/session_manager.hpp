@@ -247,9 +247,10 @@ class SessionManager {
   bool request_close(std::size_t session_id);
 
   /// The spec checks submit()/try_place() apply (null cache, candidate
-  /// range, window ordering, elapsed departure, negative weight). Public so
-  /// external drivers validate at their own door with the same rules
-  /// instead of re-implementing them. Throws std::invalid_argument.
+  /// range, window ordering, elapsed departure, negative or non-finite
+  /// weight). Public so external drivers validate at their own door with the
+  /// same rules instead of re-implementing them. Throws
+  /// std::invalid_argument.
   void validate_spec(const SessionSpec& spec) const;
 
   // --- Fault plane -----------------------------------------------------------
@@ -357,6 +358,10 @@ class SessionManager {
   /// Closes every still-active session at the current slot and returns the
   /// full result. The manager is spent afterwards (submit/step throw).
   ServingResult finish();
+  /// finish() without the per-session table (session_table stays at its
+  /// one-column default): the close a cluster runs on each link, whose
+  /// tables it never reads — it builds its own from the outcomes.
+  ServingResult finish_link();
 
  private:
   void admit_arrivals();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -153,6 +154,7 @@ void SessionStore::activate(ServingSession& s, std::size_t planned_slots) {
   depth_.push_back(0);
   dec_arrivals_.push_back(0.0);
   dec_quality_.push_back(0.0);
+  for (std::vector<double>& row : stage_) row.push_back(0.0);
   const std::size_t cap =
       std::min(stability_tail_length(planned_slots), kMaxInitialRing);
   ring_buf_.emplace_back(cap, 0.0);
@@ -168,11 +170,12 @@ void SessionStore::activate(ServingSession& s, std::size_t planned_slots) {
 void SessionStore::grow_ring(std::size_t i) {
   SessionTally& t = tally_[i];
   std::vector<double>& buf = ring_buf_[i];
-  // Growth triggers past 3x capacity, so the ring is full: rotating at the
-  // write head puts the oldest sample first, and the new half follows the
-  // newest.
+  // Growth triggers past 3x capacity, and a flush adds at most kStageRows
+  // samples to a ring of at least 4, so the ring is full before this flush:
+  // rotating at the write head puts the oldest sample first, and the new
+  // half follows the newest.
   const std::size_t cap = buf.size();
-  ARVIS_DCHECK_GE(t.totals.steps, cap);
+  ARVIS_DCHECK_GE(t.totals.steps, cap + kStageRows);
   ARVIS_DCHECK_LE(2 * cap, std::numeric_limits<std::uint32_t>::max());
   std::rotate(buf.begin(), buf.begin() + t.ring_head, buf.end());
   buf.resize(2 * cap, 0.0);
@@ -180,6 +183,8 @@ void SessionStore::grow_ring(std::size_t i) {
   t.ring_head = static_cast<std::uint32_t>(cap);
   t.ring_cap = static_cast<std::uint32_t>(2 * cap);
   t.grow_at = ring_grow_step(2 * cap);
+  // One doubling covers any flush: grow_at roughly doubles with the ring.
+  ARVIS_DCHECK_LT(t.totals.steps, t.grow_at);
 }
 
 void SessionStore::set_tier_limits(std::span<const std::uint32_t> limits) {
@@ -237,6 +242,7 @@ void SessionStore::resize_active(std::size_t n) {
         std::numeric_limits<std::uint32_t>::max(),
         0,
         0};
+    for (std::vector<double>& row : stage_) row[i] = poison;
   }
 #endif
   active_.resize(n);
@@ -255,6 +261,7 @@ void SessionStore::resize_active(std::size_t n) {
   depth_.resize(n);
   dec_arrivals_.resize(n);
   dec_quality_.resize(n);
+  for (std::vector<double>& row : stage_) row.resize(n);
 }
 
 void SessionStore::histo_add(std::uint64_t weight_bits) {
@@ -290,7 +297,11 @@ Status SessionStore::validate() const {
       row_off_.size() != n || departure_.size() != n || qos_.size() != n ||
       limit_.size() != n || tally_.size() != n || ring_buf_.size() != n ||
       depth_.size() != n ||
-      dec_arrivals_.size() != n || dec_quality_.size() != n) {
+      dec_arrivals_.size() != n || dec_quality_.size() != n ||
+      std::any_of(std::begin(stage_), std::end(stage_),
+                  [n](const std::vector<double>& row) {
+                    return row.size() != n;
+                  })) {
     return Status::FailedPrecondition(
         "SessionStore::validate: SoA mirrors not index-parallel with the "
         "active list");
@@ -345,15 +356,23 @@ Status SessionStore::validate() const {
         t.ring_cap != ring_buf_[i].size()) {
       return fail(i, "tally ring storage does not belong to this slot");
     }
-    if (t.ring_cap < stability_tail_length(t.totals.steps)) {
+    // The ring covers the flushed steps; the partial block is staged.
+    const std::size_t staged = t.totals.steps % kStageRows;
+    const std::size_t flushed = t.totals.steps - staged;
+    if (t.ring_cap < stability_tail_length(flushed)) {
       return fail(i, "tally ring smaller than the stability tail");
     }
     if (t.ring_head >= t.ring_cap) {
       return fail(i, "tally ring head out of range");
     }
-    if (t.grow_at != ring_grow_step(t.ring_cap) ||
-        t.grow_at <= t.totals.steps) {
+    if (t.grow_at != ring_grow_step(t.ring_cap) || t.grow_at <= flushed) {
       return fail(i, "tally ring growth point inconsistent with capacity");
+    }
+    for (std::size_t k = 0; k < staged; ++k) {
+      const double sample = stage_[(stage_slot_ - k) % kStageRows][i];
+      if (std::bit_cast<std::uint64_t>(sample) == kPoisonedSlotBits) {
+        return fail(i, "poisoned sample in the staged block");
+      }
     }
   }
   // The weight histogram must be exactly reproducible from the mirrors (it

@@ -33,10 +33,20 @@
 //
 // Session accounting is streaming: the drain phase folds each slot into a
 // per-session SessionTally (the five summary sums, peak/final backlog, last
-// quality, step count, and a ring of the last stability-tail backlogs) held
-// index-parallel with the active list, so finish() can summarize every
-// session exactly without a per-slot record. The cold record is touched at
-// lifecycle edges only; per-slot StepRecord traces are opt-in (TraceMode).
+// quality, step count) held index-parallel with the active list, so
+// finish() can summarize every session exactly without a per-slot record.
+// The stability verdict also needs the last third of each session's backlog
+// series, kept in a per-session heap ring. Drain does not write that ring:
+// it writes slot t's backlog into a slot-major stage, row t mod kStageRows
+// at the session's active index — one sequential store per session per
+// slot, like every other SoA write. When a session completes a block of
+// kStageRows steps, drain flushes the block into its ring oldest first (one
+// ring cache line per session per block instead of one per slot), and
+// retirement flushes the partial block, so a sealed ring is exactly the
+// ring a per-slot write would have left. The scheme relies on a store's
+// active sessions draining at consecutive slots (DCHECKed). The cold record
+// is touched at lifecycle edges only; per-slot StepRecord traces are opt-in
+// (TraceMode).
 //
 // Frame rows are addressed by a per-session *row cursor* advanced in the
 // drain phase (every active session drains every slot), replacing the
@@ -102,12 +112,23 @@ enum class TraceMode : std::uint8_t {
   kAll,   // every admitted session also records its full trace
 };
 
+/// Backlog samples a session stages before its ring sees them: drain
+/// writes slot t's sample into the store's stage row t mod kStageRows, and
+/// each completed block of kStageRows steps is flushed into the ring.
+inline constexpr std::size_t kStageRows = 8;
+// A power of two, so slot arithmetic mod kStageRows survives unsigned
+// wraparound (row of slot t - k is (t - k) % kStageRows for any k).
+static_assert(std::has_single_bit(kStageRows));
+
 /// A session's streaming accounting, folded by SessionStore::drain() once
 /// per slot: exactly what summarize_totals() needs. `ring` is a circular
-/// buffer of the last `ring_cap` backlog_begin samples (storage owned by
-/// the store while active, by the cold record once retired); it always
-/// holds the stability tail of the samples seen so far, doubling before it
-/// would overwrite one that tail still needs.
+/// buffer of the last `ring_cap` backlog_begin samples of the *flushed*
+/// steps (storage owned by the store while active, by the cold record once
+/// retired). While the session is active, its newest totals.steps mod
+/// kStageRows samples sit in the store's stage rows instead; retirement
+/// flushes them, so a sealed ring holds every step's sample. The ring
+/// always holds the stability tail of the flushed steps, doubling in the
+/// flush that would otherwise overwrite a sample that tail still needs.
 struct SessionTally {
   TraceTotals totals;
   /// Quality of the last drained slot (valid once totals.steps > 0).
@@ -115,13 +136,16 @@ struct SessionTally {
   double* ring = nullptr;
   std::uint32_t ring_head = 0;  // next write position
   std::uint32_t ring_cap = 0;
-  /// Value of totals.steps + 1 at which the ring must double first.
+  /// Flushed-step count at which the ring must double first: a flush that
+  /// brings the flushed steps to grow_at or past it grows the ring before
+  /// writing.
   std::size_t grow_at = 0;
 };
 
-/// The exact summary of a tally (summarize_totals over the unrolled ring
-/// tail); `scratch` is reused across calls. Precondition:
-/// tally.totals.steps > 0.
+/// The exact summary of a sealed tally (summarize_totals over the unrolled
+/// ring tail); `scratch` is reused across calls. Precondition:
+/// tally.totals.steps > 0, and every step is flushed into the ring (the
+/// tally was sealed at retirement).
 TraceSummary summarize_tally(const SessionTally& tally,
                              std::vector<double>& scratch);
 
@@ -132,7 +156,7 @@ struct SessionSpec {
   const FrameStatsCache* cache = nullptr;
   std::size_t arrival_slot = 0;
   std::size_t departure_slot = kNeverDeparts;
-  /// Scheduler priority (>= 0; weighted policies only).
+  /// Scheduler priority (finite, >= 0; weighted policies only).
   double weight = 1.0;
   /// Seed of this session's private RNG stream (split per session so runs
   /// are reproducible regardless of arrival order or thread count).
@@ -540,12 +564,15 @@ class SessionStore {
 
   /// Drain bookkeeping for active session i after the scheduler granted
   /// `share`: Lindley queue step, tally fold (sums, peak, final backlog,
-  /// last quality, tail ring), trace append under TraceMode::kAll only,
-  /// hot-mirror refresh, EWMA update (alpha > 0 only), frame-row cursor
-  /// advance, backlog dirty tracking for the memoizer. Returns the bytes
-  /// actually served. In the default mode it reads and writes index-i SoA
-  /// state and the session's ring only — never the cold record — and
-  /// allocates nothing unless the session outlives its planned window.
+  /// last quality), stage write of the tail sample, trace append under
+  /// TraceMode::kAll only, hot-mirror refresh, EWMA update (alpha > 0 only),
+  /// frame-row cursor advance, backlog dirty tracking for the memoizer.
+  /// Returns the bytes actually served. In the default mode it reads and
+  /// writes index-i SoA state only — never the cold record — except on the
+  /// step that completes a block of kStageRows, which flushes the block into
+  /// the session's ring; it allocates nothing unless the session outlives
+  /// its planned window. Every active session of a store must drain at each
+  /// slot, slots consecutive (the stage rows are indexed by slot).
   ///
   /// The Lindley step runs inline on the hot mirror — DiscreteQueue::step's
   /// arithmetic verbatim (clamp negatives, serve min(Q, b) before same-slot
@@ -577,13 +604,17 @@ class SessionStore {
 
     SessionTally& t = tally_[i];
     ARVIS_DCHECK_MSG(t.ring != nullptr, "drain on poisoned tally");
-    if (t.totals.steps + 1 == t.grow_at) [[unlikely]] {
-      grow_ring(i);
-    }
-    t.ring[t.ring_head] = record.backlog_begin;
-    t.ring_head = t.ring_head + 1 == t.ring_cap ? 0 : t.ring_head + 1;
+    // A session inside a block drained last slot, so the store's last drain
+    // is this slot or the one before.
+    ARVIS_DCHECK_MSG(
+        t.totals.steps % kStageRows == 0 || slot - stage_slot_ <= 1,
+        "stage contract: a store's active sessions drain at consecutive "
+        "slots");
+    stage_slot_ = slot;
+    stage_[slot % kStageRows][i] = record.backlog_begin;
     t.totals.add(record);
     t.last_quality = record.quality;
+    if (t.totals.steps % kStageRows == 0) flush_stage(i, kStageRows);
     if (trace_all_) active_[i]->trace.add(record);
 
     const std::size_t next = row_off_[i] + 2 * width_;
@@ -597,6 +628,8 @@ class SessionStore {
 
   /// Active sessions' tallies and QoS tiers (index-parallel with the active
   /// list) — the snapshot-time SLO sampler reads these, not the cold slab.
+  /// An active tally's ring lacks its staged partial block; summarize
+  /// sealed tallies only.
   [[nodiscard]] std::span<const SessionTally> tallies() const noexcept {
     return tally_;
   }
@@ -636,18 +669,44 @@ class SessionStore {
     limit_[to] = limit_[from];
     tally_[to] = tally_[from];  // ring pointer stays valid: the buffer moves
     ring_buf_[to] = std::move(ring_buf_[from]);
+    // Only the partial block is live; it ends at the last drained slot.
+    const std::size_t live = tally_[to].totals.steps % kStageRows;
+    for (std::size_t k = 0; k < live; ++k) {
+      std::vector<double>& row = stage_[(stage_slot_ - k) % kStageRows];
+      row[to] = row[from];
+    }
   }
 
-  /// Hands active session i's tally and ring storage to its cold record
-  /// (retirement; the slot is compacted over or released right after).
-  void seal(std::size_t i, ServingSession& s) noexcept {
+  /// Copies active session i's newest `count` staged samples (the block
+  /// ending at the last drained slot) into its ring, oldest first, growing
+  /// the ring first when the flushed steps reach grow_at. Called with
+  /// totals.steps already counting the flushed block.
+  void flush_stage(std::size_t i, std::size_t count) {
+    SessionTally& t = tally_[i];
+    if (t.totals.steps >= t.grow_at) [[unlikely]] {
+      grow_ring(i);
+    }
+    std::uint32_t head = t.ring_head;
+    for (std::size_t k = count; k > 0; --k) {
+      t.ring[head] = stage_[(stage_slot_ + 1 - k) % kStageRows][i];
+      head = head + 1 == t.ring_cap ? 0 : head + 1;
+    }
+    t.ring_head = head;
+  }
+
+  /// Flushes active session i's partial block, then hands its tally and
+  /// ring storage to its cold record (retirement; the slot is compacted
+  /// over or released right after).
+  void seal(std::size_t i, ServingSession& s) {
+    const std::size_t live = tally_[i].totals.steps % kStageRows;
+    if (live != 0) flush_stage(i, live);
     s.tally = tally_[i];
     s.tail_ring = std::move(ring_buf_[i]);
   }
 
   /// The tally ring's slow path: doubles session i's ring (rotated oldest
-  /// first) before the next write would overwrite a sample the stability
-  /// tail still needs. Runs only for sessions past their planned window.
+  /// first) before a flush would overwrite a sample the stability tail
+  /// still needs. Runs only for sessions past their planned window.
   void grow_ring(std::size_t i);
 
   void resize_active(std::size_t n);
@@ -712,6 +771,11 @@ class SessionStore {
   std::vector<std::uint32_t> limit_;       // candidate ceiling (<= width_)
   std::vector<SessionTally> tally_;        // streaming accounting
   std::vector<std::vector<double>> ring_buf_;  // tally_[i].ring's storage
+  /// Slot-major tail stage: stage_[t % kStageRows][i] is active session i's
+  /// backlog_begin at slot t, live for its last totals.steps % kStageRows
+  /// drained slots (older entries were flushed into its ring).
+  std::vector<double> stage_[kStageRows];
+  std::size_t stage_slot_ = 0;  // slot of the store's last drain
 
   // Per-slot decide outputs (written by decide, read by schedule/drain).
   std::vector<int> depth_;

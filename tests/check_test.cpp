@@ -144,6 +144,19 @@ TEST(CheckDeathTest, RetiredSlotIsPoisonedNotReadable) {
   EXPECT_DEATH(store.drain(1, 1, 0.0, 0.0), "ARVIS_DCHECK failed");
 }
 
+TEST(CheckDeathTest, SkippedDrainSlotBreaksTheStageContract) {
+  // Drain stages tail samples by slot mod kStageRows, so a session in the
+  // middle of a block must drain at the very next slot; a store that skips
+  // one would flush the wrong rows into the ring.
+  SessionStore store = make_store();
+  activate_one(store, 0);
+  store.decide_all();
+  static_cast<void>(store.drain(0, 0, 0.0, 0.0));
+  store.decide_all();
+  EXPECT_DEATH(static_cast<void>(store.drain(0, 2, 0.0, 0.0)),
+               "stage contract");
+}
+
 #endif  // ARVIS_DCHECK_IS_ON
 
 }  // namespace

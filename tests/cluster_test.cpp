@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -375,6 +376,38 @@ TEST(EdgeClusterTest, Validation) {
                std::invalid_argument);
 }
 
+TEST(EdgeClusterTest, NonFiniteWeightsAreRejectedAtBothDoors) {
+  // Deficit round-robin's ring test (weight > 0) and leftover test
+  // (weight <= 0) are both false for a NaN weight, so such a session would
+  // never be granted a byte; +-inf has no finite share either. Both submit
+  // doors reject them, as the trace parser does, and queue nothing.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.policy = SchedulerPolicy::kDeficitRoundRobin;
+  SessionManager manager(config.serving, 1e6);
+  EdgeCluster cluster(config, {1e6, 1e6});
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    spec.weight = w;
+    EXPECT_THROW(manager.submit(spec), std::invalid_argument) << w;
+    EXPECT_THROW(static_cast<void>(cluster.submit(spec)),
+                 std::invalid_argument)
+        << w;
+  }
+  spec.weight = std::numeric_limits<double>::max();  // finite: accepted
+  EXPECT_EQ(manager.submit(spec), 0U);
+  EXPECT_EQ(cluster.submit(spec), 0U);
+  manager.step(1e6);
+  cluster.step({1e6, 1e6});
+  EXPECT_EQ(manager.active_count(), 1U);
+  EXPECT_EQ(cluster.active_count(), 1U);
+  EXPECT_EQ(manager.finish().sessions.size(), 1U);
+  EXPECT_EQ(cluster.finish().sessions.size(), 1U);
+}
+
 TEST(EdgeClusterTest, LinkCountIsBoundedByTheFlightEncoding) {
   // Migration flight events pack from/to link ids into 10 bits each, so a
   // cluster of kMaxClusterLinks links is the largest one that can run.
@@ -401,21 +434,31 @@ TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
   config.threads = 1;
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
   SessionManager manager(config, capacity);
-  for (std::size_t i = 0; i < 6; ++i) {
+  // One arrival per slot phase: inside the window some session completes a
+  // block of kStageRows steps (and flushes its staged tail samples into its
+  // ring) at every slot, each at a different phase.
+  for (std::size_t i = 0; i < kStageRows; ++i) {
     SessionSpec spec;
     spec.cache = &shared_cache();
     spec.seed = i;
+    spec.arrival_slot = i;
     manager.submit(spec);
   }
   // Warm-up: admissions, trace reservations, scheduler scratch growth.
   for (int t = 0; t < 30; ++t) manager.step(capacity);
 
+  const std::size_t active = manager.active_count();
+  const std::size_t accepted = manager.admission_stats().accepted;
+  ASSERT_EQ(active, kStageRows);
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int t = 0; t < 60; ++t) manager.step(capacity);
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0U)
       << "steady-state slot loop performed " << (after - before)
       << " heap allocations over 60 slots";
+  // No lifecycle edge inside the window: it measured drains and flushes only.
+  EXPECT_EQ(manager.active_count(), active);
+  EXPECT_EQ(manager.admission_stats().accepted, accepted);
   static_cast<void>(manager.finish());
 }
 
@@ -429,21 +472,29 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
     config.serving.threads = threads;
     const double capacity = 4.0 * shared_cache().workload(0).bytes(4);
     EdgeCluster cluster(config, {capacity, capacity});
-    for (std::size_t i = 0; i < 6; ++i) {
+    // Arrivals at every slot phase, as in the single-link probe: the window
+    // covers every stage-flush phase on both links.
+    for (std::size_t i = 0; i < kStageRows; ++i) {
       SessionSpec spec;
       spec.cache = &shared_cache();
       spec.seed = i;
+      spec.arrival_slot = i;
       cluster.submit(spec);
     }
     std::vector<double> caps{capacity, capacity};
     for (int t = 0; t < 30; ++t) cluster.step(caps);
 
+    const std::size_t active = cluster.active_count();
+    const std::size_t placed = cluster.ledger().placed;
+    ASSERT_EQ(active, kStageRows);
     const std::size_t before = g_allocations.load(std::memory_order_relaxed);
     for (int t = 0; t < 60; ++t) cluster.step(caps);
     const std::size_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0U)
         << "steady-state cluster loop performed " << (after - before)
         << " heap allocations over 60 slots at threads=" << threads;
+    EXPECT_EQ(cluster.active_count(), active);
+    EXPECT_EQ(cluster.ledger().placed, placed);
     static_cast<void>(cluster.finish());
   }
 }

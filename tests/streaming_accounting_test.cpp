@@ -4,9 +4,10 @@
 // that path bit for bit against TraceMode::kAll, whose summaries come from
 // the full trace, across every regime that shapes a session's record:
 // dense fleets, churn with external closes, sessions too short for a
-// verdict, live migration, failover eviction, and managers stepped past
-// their planned horizon (the ring must grow). The SLO sampler's quality
-// floor, which reads the tally's last quality, is pinned the same way.
+// verdict, live migration, failover eviction, managers stepped past their
+// planned horizon (the ring must grow), and sessions ending at every phase
+// of the drain's staged tail block. The SLO sampler's quality floor, which
+// reads the tally's last quality, is pinned the same way.
 
 #include <gtest/gtest.h>
 
@@ -357,6 +358,77 @@ TEST(StreamingAccountingTest, StoreRingGrowsFromMinimumPlanAndStaysValid) {
     ASSERT_EQ(s.tally.ring, s.tail_ring.data());
     expect_summary_bits(summarize_tally(s.tally, scratch),
                         s.trace.summarize_partial(), s.id);
+  }
+}
+
+TEST(StreamingAccountingTest, StagedTailIsExactAtEveryBlockPhase) {
+  // Drain stages each slot's tail sample slot-major and flushes a session's
+  // samples into its ring a block of kStageRows steps at a time; retiring a
+  // session flushes its partial block. Eight sessions arrive at slots 0..7
+  // and all end at slot `end`, so together they end at every block phase
+  // (steps % 8 = 0..7), through each path that seals a tally. A one-slot
+  // horizon plans every ring at its minimum of 4 samples, which doubles in
+  // the flush that brings the flushed steps to 15, then 27, then 51: ends
+  // at 15 and 27 grow the ring inside a partial block, in the seal's flush.
+  enum class End { kDeparture, kClose, kEviction, kExtraction, kFinish };
+  for (const End path : {End::kDeparture, End::kClose, End::kEviction,
+                         End::kExtraction, End::kFinish}) {
+    for (const std::size_t horizon : {1UL, 64UL}) {
+      for (const std::size_t end : {15UL, 27UL, 40UL}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "path " << static_cast<int>(path) << ", horizon "
+                     << horizon << ", end " << end);
+        const ServingResult streamed = expect_modes_match([&](TraceMode mode) {
+          ServingConfig config = base_config(horizon, mode);
+          config.admission.enabled = false;
+          const double capacity = 5.0 * cheapest_load(config.candidates);
+          SessionManager manager(config, capacity);
+          for (std::size_t j = 0; j < kStageRows; ++j) {
+            manager.submit(spec_at(
+                j, path == End::kDeparture ? end : kNeverDeparts, j));
+          }
+          GilbertElliottChannel channel(capacity, 0.3, 0.1, 0.4, Rng(11));
+          for (std::size_t t = 0; t < end; ++t) {
+            manager.step(channel.next_capacity_bytes());
+            const Status ok = manager.validate_store();
+            EXPECT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
+          }
+          std::vector<EvictedSession> evicted;
+          SessionManager::MigratedSession migrated;
+          switch (path) {
+            case End::kClose:
+              for (std::size_t j = 0; j < kStageRows; ++j) {
+                EXPECT_TRUE(manager.request_close(j));
+              }
+              [[fallthrough]];
+            case End::kDeparture:
+              // Both retire at the next slot's departure sweep.
+              manager.step(capacity);
+              break;
+            case End::kEviction:
+              EXPECT_EQ(manager.evict_all_active(evicted), kStageRows);
+              break;
+            case End::kExtraction:
+              for (std::size_t j = 0; j < kStageRows; ++j) {
+                EXPECT_TRUE(manager.extract_session(j, migrated));
+              }
+              break;
+            case End::kFinish:
+              break;
+          }
+          const Status ok = manager.validate_store();
+          EXPECT_TRUE(ok.ok()) << ok.to_string();
+          return manager.finish();
+        });
+        ASSERT_EQ(streamed.sessions.size(), kStageRows);
+        for (std::size_t j = 0; j < kStageRows; ++j) {
+          const SessionOutcome& s = streamed.sessions[j];
+          EXPECT_EQ(s.slots, end - j) << j;
+          EXPECT_TRUE(s.has_summary) << j;
+          EXPECT_FALSE(s.summary.partial) << j;
+        }
+      }
+    }
   }
 }
 
