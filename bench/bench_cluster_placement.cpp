@@ -13,7 +13,9 @@
 // --smoke runs one small configuration plus two hard invariant checks
 // (sharded slot loop == serial bit-for-bit; least-loaded admits at least as
 // many as round-robin on the skewed burst) and exits non-zero on violation —
-// cheap enough for CI, so the placement sweep cannot silently rot.
+// cheap enough for CI, so the placement sweep cannot silently rot. It also
+// records (without gating) arrival_ns_per_session, the wall cost of one
+// placed arrival in a one-slot burst into a 4-link cluster.
 // --json additionally writes BENCH_cluster_placement.json (wall time per
 // sweep point) — the bench's perf-trajectory record.
 #include <chrono>
@@ -113,6 +115,54 @@ arvis::ClusterResult run_point(const SweepPoint& point, double& wall_ms) {
   return result;
 }
 
+/// Wall ns per placed arrival on a 4-link cluster: `sessions` arrivals
+/// submitted for slot 0, placed by the first step. The submits plus that
+/// step, less the next (arrival-free) step over the same fleet, isolate
+/// the arrival path — cluster entry, ranking, admission, store activation —
+/// from the slot work. Best of three bursts.
+double arrival_ns_per_session(std::size_t sessions) {
+  using namespace arvis;
+  constexpr std::size_t kLinks = 4;
+  ServingConfig serving;
+  serving.steps = 64;
+  serving.candidates = {3, 4, 5, 6};
+  serving.v = calibrate_streaming_v(cluster_cache(), serving.candidates,
+                                    4.0 * cluster_cache().workload(0).bytes(5));
+  serving.policy = SchedulerPolicy::kWorkConserving;
+  serving.admission.utilization_target = 1.0;
+  ClusterConfig config;
+  config.serving = serving;
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double load = AdmissionController::cheapest_depth_load(
+      cluster_cache(), serving.candidates);
+  const std::vector<double> caps(
+      kLinks, static_cast<double>(sessions) / kLinks * load * 1.2);
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    EdgeCluster cluster(config, caps);
+    SessionSpec spec;
+    spec.cache = &cluster_cache();
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < sessions; ++i) {
+      spec.seed = i;
+      cluster.submit(spec);
+    }
+    cluster.step(caps);
+    const auto t1 = Clock::now();
+    cluster.step(caps);
+    const auto t2 = Clock::now();
+    const double placed = static_cast<double>(cluster.ledger().placed);
+    const double ns =
+        std::chrono::duration<double, std::nano>((t1 - t0) - (t2 - t1))
+            .count() /
+        (placed > 0.0 ? placed : 1.0);
+    if (rep == 0 || ns < best) best = ns;
+    static_cast<void>(cluster.finish());
+  }
+  return best;
+}
+
 int run_smoke() {
   using namespace arvis;
   int failures = 0;
@@ -155,19 +205,25 @@ int run_smoke() {
     std::printf("smoke: parallel (2 threads) bit-identical to serial\n");
   }
 
+  // The arrival path's cost, recorded for the trajectory; no gate (an
+  // absolute wall-time bound would only measure the host).
+  const double arrival_ns = arrival_ns_per_session(20'000);
+  std::printf("smoke: %.1f ns per placed arrival (20k burst, 4 links)\n",
+              arrival_ns);
+
   // Machine-readable summary so CI can diff the key invariant numbers, not
   // just this binary's exit code.
   std::printf(
       "SMOKE_JSON {\"bench\":\"cluster_placement\",\"rr_admitted\":%zu,"
       "\"ll_admitted\":%zu,\"ll_beats_rr\":%s,\"rr_spills\":%zu,"
       "\"ll_link_fairness\":%.6f,\"parallel_bit_identical\":%s,"
-      "\"failures\":%d}\n",
+      "\"arrival_ns_per_session\":%.1f,\"failures\":%d}\n",
       rr.metrics.fleet.sessions_admitted, ll.metrics.fleet.sessions_admitted,
       ll.metrics.fleet.sessions_admitted > rr.metrics.fleet.sessions_admitted
           ? "true"
           : "false",
       rr.metrics.spills, ll.metrics.link_load_fairness,
-      bit_identical ? "true" : "false", failures);
+      bit_identical ? "true" : "false", arrival_ns, failures);
   std::printf(failures == 0 ? "smoke OK\n" : "smoke: %d failure(s)\n",
               failures);
   return failures == 0 ? 0 : 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.hpp"
 #include "queueing/stability.hpp"
@@ -34,6 +35,40 @@ double AdmissionController::cheapest_depth_load(
   return sum / static_cast<double>(cache.frame_count());
 }
 
+const AdmissionController::LoadCurve& AdmissionController::curve(
+    const FrameStatsCache& cache, int d_min, int d_max) {
+  for (const LoadCurve& c : curves_) {
+    if (c.cache == &cache && c.d_min == d_min && c.d_max == d_max) return c;
+  }
+  // First sight: the per-frame scan the stability-region test needs, summed
+  // frame by frame per depth and divided once — the same order as
+  // cheapest_depth_load(), so mean_bytes[d_min] is its result bit for bit.
+  LoadCurve c;
+  c.cache = &cache;
+  c.d_min = d_min;
+  c.d_max = d_max;
+  c.mean_bytes.assign(static_cast<std::size_t>(d_max) + 1, 0.0);
+  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
+    const FrameWorkload& frame = cache.workload(t);
+    for (int d = d_min; d <= d_max; ++d) {
+      c.mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
+    }
+  }
+  for (double& b : c.mean_bytes) b /= static_cast<double>(cache.frame_count());
+  curves_.push_back(std::move(c));
+  return curves_.back();
+}
+
+double AdmissionController::cheapest_load(const FrameStatsCache& cache,
+                                          const std::vector<int>& candidates) {
+  if (candidates.empty()) {
+    throw std::invalid_argument("cheapest_load: empty candidate set");
+  }
+  const auto [lo, hi] =
+      std::minmax_element(candidates.begin(), candidates.end());
+  return curve(cache, *lo, *hi).mean_bytes[static_cast<std::size_t>(*lo)];
+}
+
 AdmissionDecision AdmissionController::try_admit(
     const FrameStatsCache& cache, const std::vector<int>& candidates) {
   if (candidates.empty()) {
@@ -43,33 +78,25 @@ AdmissionDecision AdmissionController::try_admit(
   AdmissionDecision decision;
   decision.residual_capacity = residual_capacity();
 
-  const int d_min = *std::min_element(candidates.begin(), candidates.end());
-  const int d_max = *std::max_element(candidates.begin(), candidates.end());
+  const auto [lo, hi] =
+      std::minmax_element(candidates.begin(), candidates.end());
+  const int d_min = *lo;
+  const int d_max = *hi;
   if (!enabled_) {
-    // Forced admit: skip the per-frame load scans entirely (reserved_ is
-    // never consulted when disabled); admission imposes no depth cap.
+    // Forced admit: no load curve needed (reserved_ is never consulted
+    // when disabled); admission imposes no depth cap.
     decision.max_sustainable_depth = d_max;
     decision.admitted = true;
     ++stats_.accepted;
     return decision;
   }
-  decision.cheapest_load = cheapest_depth_load(cache, candidates);
-  {
-    // Mean per-depth byte curve over the candidate range, fed to the
-    // stability-region test: the session is admissible iff even its
-    // cheapest candidate depth is sustainable on what the link has left.
-    std::vector<double> mean_bytes(static_cast<std::size_t>(d_max) + 1, 0.0);
-    for (std::size_t t = 0; t < cache.frame_count(); ++t) {
-      const FrameWorkload& frame = cache.workload(t);
-      for (int d = d_min; d <= d_max; ++d) {
-        mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
-      }
-    }
-    for (double& b : mean_bytes) b /= static_cast<double>(cache.frame_count());
-    decision.max_sustainable_depth = max_sustainable_depth(
-        mean_bytes, decision.residual_capacity, d_min, d_max);
-    decision.admitted = decision.max_sustainable_depth >= d_min;
-  }
+  // The session is admissible iff even its cheapest candidate depth is
+  // sustainable on what the link has left (the stability-region test).
+  const LoadCurve& c = curve(cache, d_min, d_max);
+  decision.cheapest_load = c.mean_bytes[static_cast<std::size_t>(d_min)];
+  decision.max_sustainable_depth = max_sustainable_depth(
+      c.mean_bytes, decision.residual_capacity, d_min, d_max);
+  decision.admitted = decision.max_sustainable_depth >= d_min;
   if (decision.admitted) {
     ++stats_.accepted;
     reserved_ += decision.cheapest_load;

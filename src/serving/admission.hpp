@@ -45,6 +45,15 @@ struct AdmissionDecision {
 
 /// Stability-region admission for one shared link. Not thread-safe; the
 /// session manager serializes arrivals.
+///
+/// A decision needs the cache's mean per-depth byte curve over the
+/// candidate range, a pass over every cached frame. The controller keeps
+/// that curve per (cache, candidate range) after the first arrival that
+/// needs it, so a decision is O(|candidates|) and allocation-free once warm
+/// — bit for bit the per-call scan, because the memo holds the very same
+/// sums in the very same order. Caches are keyed by identity, like the
+/// SessionStore's interned decide tables: a cache must outlive the
+/// controller.
 class AdmissionController {
  public:
   /// `mean_capacity_bytes` is the link's long-run mean (ChannelModel::
@@ -56,6 +65,10 @@ class AdmissionController {
   /// depth — the least load the session can impose while streaming at all.
   [[nodiscard]] static double cheapest_depth_load(
       const FrameStatsCache& cache, const std::vector<int>& candidates);
+
+  /// cheapest_depth_load() read from the memo (filled on first sight).
+  [[nodiscard]] double cheapest_load(const FrameStatsCache& cache,
+                                     const std::vector<int>& candidates);
 
   /// Decides on one arriving session; on accept, reserves its cheapest-depth
   /// load until release().
@@ -83,6 +96,19 @@ class AdmissionController {
   }
 
  private:
+  /// Mean bytes/slot per depth of one cache over [d_min, d_max] (index =
+  /// depth; entries below d_min stay 0).
+  struct LoadCurve {
+    const FrameStatsCache* cache = nullptr;
+    int d_min = 0;
+    int d_max = 0;
+    std::vector<double> mean_bytes;
+  };
+  /// The memoized curve for (cache, [d_min, d_max]); linear over the few
+  /// distinct caches a run streams.
+  const LoadCurve& curve(const FrameStatsCache& cache, int d_min, int d_max);
+
+  std::vector<LoadCurve> curves_;
   double admissible_;  // utilization_target * mean link capacity
   bool enabled_;
   double scale_ = 1.0;  // fault-plane capacity multiplier

@@ -133,21 +133,28 @@ std::size_t EdgeCluster::submit(const SessionSpec& spec) {
   // in lockstep with the cluster, so link 0's slot clock is the cluster's.
   links_.front()->validate_spec(spec);
 
-  entries_.push_back(std::make_unique<Entry>(entries_.size(), spec));
+  Entry& e = entries_.emplace_back(entries_.size(), spec);
   metrics_.reserve_sessions(entries_.size());
-  Entry* e = entries_.back().get();
-  e->due = std::max(spec.arrival_slot, slot_);
+  e.due = std::max(spec.arrival_slot, slot_);
+  // Ids only grow and sources submit in due order, so the new entry almost
+  // always sorts last in (due, id): append. An out-of-order submit (a
+  // pre-scheduled trace, a retry landing before later arrivals) searches.
+  if (pending_head_ == pending_.size() ||
+      entries_[pending_.back()].due <= e.due) {
+    pending_.push_back(e.id);
+    return e.id;
+  }
   const auto begin =
       pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_);
   const auto pos = std::upper_bound(
-      begin, pending_.end(), e->id, [&](std::size_t a, std::size_t b) {
-        const Entry& ea = *entries_[a];
-        const Entry& eb = *entries_[b];
+      begin, pending_.end(), e.id, [&](std::size_t a, std::size_t b) {
+        const Entry& ea = entries_[a];
+        const Entry& eb = entries_[b];
         if (ea.due != eb.due) return ea.due < eb.due;
         return ea.id < eb.id;
       });
-  pending_.insert(pos, e->id);
-  return e->id;
+  pending_.insert(pos, e.id);
+  return e.id;
 }
 
 void EdgeCluster::rank_links(const Entry& entry) {
@@ -168,8 +175,8 @@ void EdgeCluster::rank_links(const Entry& entry) {
                 });
       break;
     case PlacementPolicy::kBestFit: {
-      const double load = AdmissionController::cheapest_depth_load(
-          *entry.spec.cache, config_.serving.candidates);
+      // Every link shares one candidate set, so link 0's memo serves all.
+      const double load = links_.front()->cheapest_load(*entry.spec.cache);
       for (std::size_t i = 0; i < k; ++i) rank_[i] = i;
       // Links that fit rank first by tightness (smallest leftover); links
       // that cannot fit follow by descending residual (the least-bad spill).
@@ -197,13 +204,13 @@ void EdgeCluster::rank_links(const Entry& entry) {
 
 void EdgeCluster::place_arrivals() {
   if (pending_head_ >= pending_.size() ||
-      entries_[pending_[pending_head_]]->due > slot_) {
+      entries_[pending_[pending_head_]].due > slot_) {
     return;  // nothing due: keep the no-arrival slot span-free
   }
   const PhaseSpan span(tracer_, Phase::kPlace, slot_, kClusterTid);
   while (pending_head_ < pending_.size() &&
-         entries_[pending_[pending_head_]]->due <= slot_) {
-    Entry& e = *entries_[pending_[pending_head_++]];
+         entries_[pending_[pending_head_]].due <= slot_) {
+    Entry& e = entries_[pending_[pending_head_++]];
     // Cancelled before arrival: placement never sees it (never-arrived).
     if (e.cancelled) continue;
     e.arrived = true;
@@ -254,9 +261,9 @@ EdgeCluster::RankedPlacement EdgeCluster::place_ranked(
   RankedPlacement p;
   p.attempts = std::min(rank_.size(), config_.spill_limit + 1);
   int best_depth = std::numeric_limits<int>::min();
-  // Each attempt re-runs the link's admission scan (O(cached frames));
-  // placement happens once per session segment, never in the slot loop, so
-  // clarity wins over caching the load curve across attempts here.
+  // Placement runs once per arrival on the serial segment between shard
+  // barriers, so each attempt is O(|candidates|): the link's admission
+  // reads its memoized load curve instead of rescanning the cached frames.
   for (std::size_t a = 0; a < p.attempts; ++a) {
     const AdmissionDecision decision =
         links_[rank_[a]]->try_place(entry.spec, runtime_id);
@@ -320,7 +327,7 @@ bool EdgeCluster::set_link_state(std::size_t link, bool down) {
   evict_scratch_.clear();
   links_[link]->evict_all_active(evict_scratch_);
   for (const EvictedSession& ev : evict_scratch_) {
-    Entry& e = *entries_[owner_of(ev.id)];
+    Entry& e = entries_[owner_of(ev.id)];
     e.spec = ev.spec;
     displace(e);
   }
@@ -373,7 +380,7 @@ void EdgeCluster::place_displaced() {
   if (displaced_.empty()) return;
   const PhaseSpan span(tracer_, Phase::kPlace, slot_, kClusterTid);
   for (const std::size_t entry_id : displaced_) {
-    Entry& e = *entries_[entry_id];
+    Entry& e = entries_[entry_id];
     if (!e.displaced) continue;  // externally closed while displaced
     if (e.spec.departure_slot != kNeverDeparts &&
         e.spec.departure_slot <= slot_) {
@@ -414,7 +421,7 @@ void EdgeCluster::place_displaced() {
 
 bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
                              unsigned reason) {
-  Entry& e = *entries_[session_id];
+  Entry& e = entries_[session_id];
   if (!e.admitted || e.displaced || e.fault_evicted || e.link < 0 ||
       static_cast<std::size_t>(e.link) == target_link ||
       link_down_[target_link] != 0) {
@@ -571,7 +578,7 @@ void EdgeCluster::evaluate_handover() {
          attempts < hp.max_migrations_per_slot;
          --end) {
       std::pop_heap(migrate_scratch_.begin(), end, later);
-      Entry& e = *entries_[owner_of(std::prev(end)->second)];
+      Entry& e = entries_[owner_of(std::prev(end)->second)];
       if (!within_budget(e)) continue;
       ++attempts;  // aborts count against the pace: no same-slot retry storm
       do_migrate(e.id, static_cast<std::size_t>(target), 0);
@@ -624,7 +631,7 @@ void EdgeCluster::evaluate_handover() {
     }
   }
   if (worst == src.active_count()) return;
-  Entry& e = *entries_[owner_of(src.active_session_id(worst))];
+  Entry& e = entries_[owner_of(src.active_session_id(worst))];
   if (within_budget(e)) do_migrate(e.id, static_cast<std::size_t>(freed), 1);
 }
 
@@ -709,7 +716,7 @@ bool EdgeCluster::request_close(std::size_t session_id) {
     throw std::logic_error("EdgeCluster::request_close: already finished");
   }
   if (session_id >= entries_.size()) return false;
-  Entry& e = *entries_[session_id];
+  Entry& e = entries_[session_id];
   if (e.admitted) {
     if (e.fault_evicted) return false;  // already ended by an outage
     if (e.displaced) {
@@ -736,7 +743,7 @@ std::size_t EdgeCluster::next_pending_arrival_slot() const noexcept {
   // step (not idle-skip) so re-placement happens immediately.
   if (!displaced_.empty()) return slot_;
   return pending_head_ < pending_.size()
-             ? entries_[pending_[pending_head_]]->due
+             ? entries_[pending_[pending_head_]].due
              : kNeverDeparts;
 }
 
@@ -750,7 +757,7 @@ std::size_t EdgeCluster::skip_idle_slots(std::size_t max_slots) {
   std::size_t slots = max_slots;
   if (!displaced_.empty()) slots = 0;  // re-placement is due this slot
   if (pending_head_ < pending_.size()) {
-    const std::size_t due = entries_[pending_[pending_head_]]->due;
+    const std::size_t due = entries_[pending_[pending_head_]].due;
     slots = due > slot_ ? std::min(slots, due - slot_) : 0;
   }
   // The links hold no internal pending arrivals (placement injects sessions
@@ -775,7 +782,7 @@ ClusterResult EdgeCluster::finish() {
   // slot: count them as fault-evicted so the failover books balance
   // (displaced == replaced + evicted + closed, nothing stranded).
   for (const std::size_t entry_id : displaced_) {
-    Entry& e = *entries_[entry_id];
+    Entry& e = entries_[entry_id];
     if (e.displaced) fault_evict(e);
   }
   displaced_.clear();
@@ -793,7 +800,7 @@ ClusterResult EdgeCluster::finish() {
     const auto& sessions = link_results[k].sessions;
     for (std::size_t j = 0; j < sessions.size(); ++j) {
       const std::size_t owner = owner_of(sessions[j].id);
-      if (sessions[j].id == entries_[owner]->runtime_id) {
+      if (sessions[j].id == entries_[owner].runtime_id) {
         where[owner] = {static_cast<int>(k), j};
       }
     }
@@ -801,8 +808,8 @@ ClusterResult EdgeCluster::finish() {
 
   ClusterResult result;
   result.sessions.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    const Entry& e = *entry;
+  for (std::size_t id = 0; id < entries_.size(); ++id) {
+    const Entry& e = entries_[id];
     ClusterSessionOutcome out;
     out.link = e.link;
     out.spilled = e.spilled;

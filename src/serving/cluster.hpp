@@ -38,6 +38,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/chunked_array.hpp"
 #include "common/status.hpp"
 #include "net/channel.hpp"
 #include "serving/executor.hpp"
@@ -424,7 +425,9 @@ class EdgeCluster {
   /// workers are busy in a slot.
   ParallelExecutor executor_;
   std::vector<std::unique_ptr<SessionManager>> links_;
-  std::vector<std::unique_ptr<Entry>> entries_;  // submission order
+  /// Submission order (index = id); entries never move, and only the
+  /// submit that opens a chunk allocates.
+  ChunkedArray<Entry, 1024> entries_;
   // Not-yet-arrived entry indices, sorted by (due slot, id); the prefix
   // before pending_head_ has been consumed (same O(arrivals due) scheme as
   // SessionManager).

@@ -159,9 +159,10 @@ void SessionManager::close_departures() {
 
 void SessionManager::activate(ServingSession& s) {
   s.phase = SessionPhase::kActive;
-  // The planned window sizes the tally's tail ring and, under kAll, the
-  // trace reservation, so steady-state drains never reallocate (the manager
-  // may be driven past config_.steps by hand; both then grow as needed).
+  // The planned window sizes the tally's tail ring (allocated by the first
+  // block flush) and, under kAll, the trace reservation, so steady-state
+  // drains never reallocate (the manager may be driven past config_.steps
+  // by hand; both then grow as needed).
   const std::size_t horizon = std::min(s.spec.departure_slot, config_.steps);
   const std::size_t planned = horizon > slot_ ? horizon - slot_ : 0;
   if (store_.traces_all()) s.trace.reserve(planned);

@@ -237,6 +237,11 @@ class SessionManager {
   [[nodiscard]] const AdmissionController& admission() const noexcept {
     return admission_;
   }
+  /// Cheapest-depth load a session streaming `cache` reserves on admission
+  /// here, read from the admission memo (best-fit placement ranks by it).
+  [[nodiscard]] double cheapest_load(const FrameStatsCache& cache) {
+    return admission_.cheapest_load(cache, config_.candidates);
+  }
 
   /// External-close control: ends session `session_id` at the current slot.
   /// An active session departs before this slot streams (its trace covers

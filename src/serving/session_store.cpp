@@ -106,16 +106,15 @@ SessionStore::SessionStore(std::vector<int> candidates, double v,
 }
 
 ServingSession& SessionStore::create(std::size_t id, const SessionSpec& spec) {
-  slab_.emplace_back(id, spec);
-  return slab_.back();
+  return slab_.emplace_back(id, spec);
 }
 
 ServingSession* SessionStore::find(std::size_t id) noexcept {
   // Linear: slab ids are NOT guaranteed sorted (EdgeCluster places sessions
   // in (due slot, id) order, so a link can create id 7 before id 3), and
   // closes are rare calendar events, never per-slot work.
-  for (ServingSession& s : slab_) {
-    if (s.id == id) return &s;
+  for (std::size_t pos = 0; pos < slab_.size(); ++pos) {
+    if (slab_[pos].id == id) return &slab_[pos];
   }
   return nullptr;
 }
@@ -155,16 +154,25 @@ void SessionStore::activate(ServingSession& s, std::size_t planned_slots) {
   dec_arrivals_.push_back(0.0);
   dec_quality_.push_back(0.0);
   for (std::vector<double>& row : stage_) row.push_back(0.0);
+  // The ring is sized here but allocated by the session's first block
+  // flush, on the drain path of its own shard: activation runs on the
+  // serial placement segment and allocates no block per session.
   const std::size_t cap =
       std::min(stability_tail_length(planned_slots), kMaxInitialRing);
-  ring_buf_.emplace_back(cap, 0.0);
+  ring_buf_.emplace_back();
   SessionTally tally;
-  tally.ring = ring_buf_.back().data();
   tally.ring_cap = static_cast<std::uint32_t>(cap);
   tally.grow_at = ring_grow_step(cap);
   tally_.push_back(tally);
   histo_add(std::bit_cast<std::uint64_t>(s.spec.weight));
   ++generation_;
+}
+
+void SessionStore::allocate_ring(std::size_t i) {
+  SessionTally& t = tally_[i];
+  std::vector<double>& buf = ring_buf_[i];
+  buf.assign(t.ring_cap, 0.0);
+  t.ring = buf.data();
 }
 
 void SessionStore::grow_ring(std::size_t i) {
@@ -234,11 +242,13 @@ void SessionStore::resize_active(std::size_t n) {
     qos_[i] = std::numeric_limits<std::uint8_t>::max();
     limit_[i] = 0;  // a live ceiling is never < 1
     const double poison = std::bit_cast<double>(kPoisonedSlotBits);
+    // The poisoned step count trips drain's poisoned-tally DCHECK (a null
+    // ring cannot: it is legal before a session's first flush).
     tally_[i] = SessionTally{
         TraceTotals{poison, poison, poison, poison, poison, poison, poison,
                     std::numeric_limits<std::size_t>::max()},
         poison,
-        nullptr,  // trips drain's poisoned-tally DCHECK
+        nullptr,
         std::numeric_limits<std::uint32_t>::max(),
         0,
         0};
@@ -352,13 +362,23 @@ Status SessionStore::validate() const {
       return fail(i, "candidate ceiling outside [1, width]");
     }
     const SessionTally& t = tally_[i];
-    if (t.ring == nullptr || t.ring != ring_buf_[i].data() ||
-        t.ring_cap != ring_buf_[i].size()) {
-      return fail(i, "tally ring storage does not belong to this slot");
-    }
-    // The ring covers the flushed steps; the partial block is staged.
+    // The ring covers the flushed steps; the partial block is staged. It is
+    // unallocated exactly while no block has been flushed (ring_cap is then
+    // its planned size); the first flush allocates it.
     const std::size_t staged = t.totals.steps % kStageRows;
     const std::size_t flushed = t.totals.steps - staged;
+    if ((flushed == 0) != (t.ring == nullptr)) {
+      return fail(i, flushed == 0 ? "tally ring allocated before any flush"
+                                  : "tally ring missing after a flush");
+    }
+    if (t.ring == nullptr) {
+      if (ring_buf_[i].capacity() != 0) {
+        return fail(i, "unflushed tally owns ring storage");
+      }
+    } else if (t.ring != ring_buf_[i].data() ||
+               t.ring_cap != ring_buf_[i].size()) {
+      return fail(i, "tally ring storage does not belong to this slot");
+    }
     if (t.ring_cap < stability_tail_length(flushed)) {
       return fail(i, "tally ring smaller than the stability tail");
     }

@@ -43,7 +43,9 @@
 // kStageRows steps, drain flushes the block into its ring oldest first (one
 // ring cache line per session per block instead of one per slot), and
 // retirement flushes the partial block, so a sealed ring is exactly the
-// ring a per-slot write would have left. The scheme relies on a store's
+// ring a per-slot write would have left. The first flush allocates the
+// ring, so activation (on the serial placement path) allocates none and the
+// allocation runs inside the link's shard. The scheme relies on a store's
 // active sessions draining at consecutive slots (DCHECKed). The cold record
 // is touched at lifecycle edges only; per-slot StepRecord traces are opt-in
 // (TraceMode).
@@ -68,7 +70,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -76,6 +77,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/chunked_array.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "sim/frame_stats_cache.hpp"
@@ -124,7 +126,9 @@ static_assert(std::has_single_bit(kStageRows));
 /// per slot: exactly what summarize_totals() needs. `ring` is a circular
 /// buffer of the last `ring_cap` backlog_begin samples of the *flushed*
 /// steps (storage owned by the store while active, by the cold record once
-/// retired). While the session is active, its newest totals.steps mod
+/// retired). It stays null until the first flush allocates it, so
+/// activation allocates nothing per session; ring_cap is its planned size
+/// meanwhile. While the session is active, its newest totals.steps mod
 /// kStageRows samples sit in the store's stage rows instead; retirement
 /// flushes them, so a sealed ring holds every step's sample. The ring
 /// always holds the stability tail of the flushed steps, doubling in the
@@ -274,8 +278,9 @@ class SessionStore {
   /// Marks `s` active and mirrors its hot fields into the SoA arrays
   /// (interning its cache's FlatDecideTable on first sight). `planned_slots`
   /// is how long it is expected to stream; it sizes the stability-tail ring
-  /// (a session that outlives the plan grows its ring, so any value is
-  /// correct — a good one just never pays the growth).
+  /// that the session's first block flush allocates (a session that
+  /// outlives the plan grows its ring, so any value is correct — a good one
+  /// just never pays the growth).
   void activate(ServingSession& s, std::size_t planned_slots);
 
   /// Compacts the active list, retiring every session `should_close`
@@ -433,10 +438,10 @@ class SessionStore {
   /// Cross-checks every SoA mirror against the cold slab and the interned
   /// tables: index-parallel lengths, weight/departure bit-equality with the
   /// spec, table pointers/frame counts matching the session's interned
-  /// table, row cursors aligned and in range, tally rings owned by their
-  /// slot and large enough for the stability tail, the weight histogram
-  /// exactly reproducible from the mirrors, and no poisoned or duplicated
-  /// slots.
+  /// table, row cursors aligned and in range, tally rings unallocated exactly
+  /// until the first flush and then owned by their slot and large enough for
+  /// the stability tail, the weight histogram exactly reproducible from the
+  /// mirrors, and no poisoned or duplicated slots.
   /// O(active + slab) — called from tests and the bench oracles, never from
   /// the slot loop (hot-path invariants are the DCHECKs above).
   [[nodiscard]] Status validate() const;
@@ -570,8 +575,9 @@ class SessionStore {
   /// Returns the bytes actually served. In the default mode it reads and
   /// writes index-i SoA state only — never the cold record — except on the
   /// step that completes a block of kStageRows, which flushes the block into
-  /// the session's ring; it allocates nothing unless the session outlives
-  /// its planned window. Every active session of a store must drain at each
+  /// the session's ring. It allocates twice at most per session: the ring
+  /// itself, in the first flush, and a doubling if the session outlives its
+  /// planned window. Every active session of a store must drain at each
   /// slot, slots consecutive (the stage rows are indexed by slot).
   ///
   /// The Lindley step runs inline on the hot mirror — DiscreteQueue::step's
@@ -603,7 +609,9 @@ class SessionStore {
     backlog_[i] = record.backlog_end;
 
     SessionTally& t = tally_[i];
-    ARVIS_DCHECK_MSG(t.ring != nullptr, "drain on poisoned tally");
+    ARVIS_DCHECK_MSG(
+        t.totals.steps != std::numeric_limits<std::size_t>::max(),
+        "drain on poisoned tally");
     // A session inside a block drained last slot, so the store's last drain
     // is this slot or the one before.
     ARVIS_DCHECK_MSG(
@@ -678,11 +686,15 @@ class SessionStore {
   }
 
   /// Copies active session i's newest `count` staged samples (the block
-  /// ending at the last drained slot) into its ring, oldest first, growing
-  /// the ring first when the flushed steps reach grow_at. Called with
-  /// totals.steps already counting the flushed block.
+  /// ending at the last drained slot) into its ring, oldest first,
+  /// allocating the ring on the first flush and growing it first when the
+  /// flushed steps reach grow_at. Called with totals.steps already counting
+  /// the flushed block.
   void flush_stage(std::size_t i, std::size_t count) {
     SessionTally& t = tally_[i];
+    if (t.ring == nullptr) [[unlikely]] {
+      allocate_ring(i);
+    }
     if (t.totals.steps >= t.grow_at) [[unlikely]] {
       grow_ring(i);
     }
@@ -704,6 +716,9 @@ class SessionStore {
     s.tail_ring = std::move(ring_buf_[i]);
   }
 
+  /// The first flush's slow path: allocates session i's ring at its planned
+  /// capacity (ring_cap, set at activation).
+  void allocate_ring(std::size_t i);
   /// The tally ring's slow path: doubles session i's ring (rotated oldest
   /// first) before a flush would overwrite a sample the stability tail
   /// still needs. Runs only for sessions past their planned window.
@@ -755,7 +770,9 @@ class SessionStore {
   /// degradation policy is idle). Fixed size; never reallocates.
   std::vector<std::uint32_t> tier_limit_;
 
-  std::deque<ServingSession> slab_;        // insertion order, stable refs
+  /// Cold records in insertion order; stable refs, and only the record
+  /// that opens a chunk allocates.
+  ChunkedArray<ServingSession, 256> slab_;
   std::vector<ServingSession*> active_;    // admission order
 
   // Hot SoA mirrors, index-parallel with active_.

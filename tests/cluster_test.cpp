@@ -16,6 +16,7 @@
 #include <string>
 #include <variant>
 
+#include "common/log.hpp"
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
@@ -497,6 +498,38 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
     EXPECT_EQ(cluster.ledger().placed, placed);
     static_cast<void>(cluster.finish());
   }
+}
+
+TEST(AllocationProbeTest, WarmAdmissionDecisionIsAllocationFree) {
+  // Once the controller has seen a cache, a decision reads the memoized
+  // load curve: admits, rejects and releases allocate nothing. (Rejects log
+  // at info level; pin the level below it so no message is formatted.)
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  static const FrameStatsCache second(*open_test_subject(172), 8, 8);
+  const std::vector<int> candidates{3, 4, 5, 6};
+  AdmissionConfig config;
+  config.utilization_target = 1.0;
+  AdmissionController admission(config, 3.0 * cheapest_load(candidates));
+  for (const FrameStatsCache* cache : {&shared_cache(), &second}) {
+    static_cast<void>(admission.try_admit(*cache, candidates));
+  }
+  std::size_t rejects = 0;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < 1'000; ++i) {
+    admission.set_capacity_scale(i % 50 < 40 ? 1.0 : 0.0);
+    const FrameStatsCache& cache = i % 2 == 0 ? shared_cache() : second;
+    const AdmissionDecision d = admission.try_admit(cache, candidates);
+    if (!d.admitted) ++rejects;
+    if (i % 3 == 0) admission.release(d.cheapest_load);
+    static_cast<void>(admission.cheapest_load(cache, candidates));
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  set_log_level(level);
+  EXPECT_EQ(after - before, 0U)
+      << "1000 warm admission decisions performed " << (after - before)
+      << " heap allocations";
+  EXPECT_GT(rejects, 0U);
 }
 
 TEST(AllocationProbeTest, WeightedPriorityRebuildAndHandoverAreAllocationFree) {

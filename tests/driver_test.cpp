@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -797,6 +798,125 @@ TEST(EventCalendarTest, ReserveThenBurstGrowthKeepsTheOrderingContract) {
   }
 }
 
+/// The calendar's reference model: a priority queue on (slot, seq), popped
+/// exactly like EventCalendar::pop_due.
+struct LaterEvent {
+  bool operator()(const CalendarEvent& a, const CalendarEvent& b) const {
+    if (a.slot != b.slot) return a.slot > b.slot;
+    return a.seq > b.seq;
+  }
+};
+using ReferenceCalendar =
+    std::priority_queue<CalendarEvent, std::vector<CalendarEvent>, LaterEvent>;
+
+void expect_same_due(EventCalendar& calendar, ReferenceCalendar& reference,
+                     std::size_t now, std::vector<CalendarEvent>& due) {
+  calendar.pop_due(now, due);
+  std::size_t k = 0;
+  while (!reference.empty() && reference.top().slot <= now) {
+    ASSERT_LT(k, due.size()) << "calendar lost an event due at " << now;
+    EXPECT_EQ(due[k].slot, reference.top().slot) << "now " << now;
+    EXPECT_EQ(due[k].seq, reference.top().seq) << "now " << now;
+    EXPECT_EQ(due[k].payload, reference.top().payload) << "now " << now;
+    reference.pop();
+    ++k;
+  }
+  EXPECT_EQ(k, due.size()) << "calendar popped an event not due at " << now;
+  EXPECT_EQ(calendar.size(), reference.size());
+  EXPECT_EQ(calendar.min_slot(), reference.empty() ? EventCalendar::kNone
+                                                    : reference.top().slot);
+}
+
+TEST(EventCalendarTest, SeededInterleavingsMatchAPriorityQueue) {
+  // Near, far (many ring revolutions out, so they wait in the overflow
+  // heap), below-floor and same-slot pushes, interleaved with pop_due at an
+  // advancing clock, against a priority queue on (slot, seq): every
+  // pop_due must return exactly the reference's due events, in order.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventCalendar calendar;
+    ReferenceCalendar reference;
+    std::vector<CalendarEvent> due;
+    std::uint64_t seq = 0;
+    std::size_t now = 0;
+    const auto push = [&](std::size_t slot) {
+      const CalendarEvent event{slot, seq++,
+                                static_cast<std::uint8_t>(rng.below(4)),
+                                static_cast<std::size_t>(rng.below(1000))};
+      calendar.push(event);
+      reference.push(event);
+    };
+    for (int round = 0; round < 2'000; ++round) {
+      const std::size_t pushes = rng.below(6);
+      for (std::size_t p = 0; p < pushes; ++p) {
+        switch (rng.below(4)) {
+          case 0:  // near
+            push(now + 1 + rng.below(40));
+            break;
+          case 1:  // far: well past any ring revolution
+            push(now + 4'096 + rng.below(20'000));
+            break;
+          case 2:  // below the floor (at or before the clock)
+            push(now - std::min<std::size_t>(now, rng.below(6)));
+            break;
+          default: {  // a burst on one slot
+            const std::size_t slot = now + rng.below(300);
+            for (std::size_t b = 0; b < 3; ++b) push(slot);
+            break;
+          }
+        }
+      }
+      now += rng.below(30);
+      expect_same_due(calendar, reference, now, due);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(calendar.wrapped_pushes(), 0U);
+    expect_same_due(calendar, reference, EventCalendar::kNone - 1, due);
+    EXPECT_TRUE(calendar.empty());
+  }
+}
+
+TEST(EventCalendarTest, OneSlotFedFromRingAndOverflowHeapDrainsInPushOrder) {
+  EventCalendar calendar;
+  ReferenceCalendar reference;
+  std::vector<CalendarEvent> due;
+  std::uint64_t seq = 0;
+  const auto push = [&](std::size_t slot, std::size_t payload) {
+    const CalendarEvent event{slot, seq++, 0, payload};
+    calendar.push(event);
+    reference.push(event);
+  };
+  // Slot 10'000 is far past the 64-bucket ring: heap. Once the floor
+  // reaches it, further pushes at that slot land in the ring.
+  const std::size_t target = 10'000;
+  push(target, 0);
+  EXPECT_EQ(calendar.wrapped_pushes(), 1U);
+  push(5, 1);
+  expect_same_due(calendar, reference, 5, due);
+  ASSERT_EQ(due.size(), 1U);
+  // Slot 5 drained and the min_slot() peek raised the floor to `target`:
+  // these are ring pushes.
+  push(target, 3);
+  push(target, 4);
+  EXPECT_EQ(calendar.wrapped_pushes(), 1U);
+  // A push below the floor drags it back, so the next push at `target`
+  // overflows again: that heap event trails the ring events in seq order.
+  push(target - 9'000, 5);
+  push(target, 6);
+  EXPECT_EQ(calendar.wrapped_pushes(), 2U);
+  push(target - 9'000, 7);
+  expect_same_due(calendar, reference, target - 9'000, due);
+  ASSERT_EQ(due.size(), 2U);
+  expect_same_due(calendar, reference, target, due);
+  ASSERT_EQ(due.size(), 4U);
+  EXPECT_EQ(due[0].payload, 0U);  // heap
+  EXPECT_EQ(due[1].payload, 3U);  // ring
+  EXPECT_EQ(due[2].payload, 4U);  // ring
+  EXPECT_EQ(due[3].payload, 6U);  // heap
+  EXPECT_TRUE(calendar.empty());
+}
+
 // ------------------------------------------------ external-close events ----
 
 TEST(EventLoopTest, ExternalCloseEndsASessionMidStreamAndCancelsPending) {
@@ -1141,6 +1261,75 @@ std::size_t driver_run_allocations(std::size_t stop_slot) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   static_cast<void>(cluster.finish());
   return after - before;
+}
+
+/// Emits `count` admitted-by-construction arrivals in one batch at `slot`,
+/// each departing about a million slots later (far past the calendar ring).
+class FarDepartureBurst final : public ArrivalSource {
+ public:
+  FarDepartureBurst(std::size_t slot, std::size_t count)
+      : slot_(slot), count_(count) {}
+  [[nodiscard]] std::size_t next_slot() const override {
+    return taken_ ? kNoSlot : slot_;
+  }
+  void take(std::vector<SessionSpec>& out) override {
+    for (std::size_t i = 0; i < count_; ++i) {
+      SessionSpec spec;
+      spec.cache = &shared_cache();
+      spec.arrival_slot = slot_;
+      spec.departure_slot = slot_ + 1'000'000 + i;
+      spec.seed = i;
+      out.push_back(spec);
+    }
+    taken_ = true;
+  }
+
+ private:
+  std::size_t slot_;
+  std::size_t count_;
+  bool taken_ = false;
+};
+
+/// Allocations of a driver run that admits a burst of `arrivals` sessions
+/// at slot 1 onto a 2-link cluster and stops at slot 4 — before any
+/// session's first tail-block flush, so the count covers the arrival path
+/// (driver, calendar, placement, admission, store activation) and the
+/// steady slot loop only.
+std::size_t arrival_burst_allocations(std::size_t arrivals) {
+  ClusterConfig config = replay_cluster_config(2);
+  config.serving.admission.enabled = false;
+  const double capacity = 4.0 * cheapest_load(config.serving.candidates);
+  EdgeCluster cluster(config, {capacity, capacity});
+  ConstantChannel a(capacity), b(capacity);
+  ClusterBackend backend(cluster, {&a, &b});
+  DriverConfig driver;
+  EventLoop loop(driver, backend);
+  FarDepartureBurst source(1, arrivals);
+  loop.set_arrival_source(source);
+  loop.schedule_stop(4);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const DriverReport report = loop.run();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(report.arrivals_injected, arrivals);
+  EXPECT_EQ(cluster.active_count(), arrivals);
+  static_cast<void>(cluster.finish());
+  return after - before;
+}
+
+TEST(DriverAllocationProbeTest, ArrivalsWithFarDeparturesDoNotAllocateEach) {
+  // Doubling the burst doubles the work on every arrival stage; only
+  // amortized growth may add allocations: a doubling of each of a few dozen
+  // shared arrays, and one store slab chunk per 256 sessions (about 70 in
+  // all). A heap block per arrival anywhere on the path — a calendar bucket
+  // per departure marker, a cluster entry, a store slab record, a tally
+  // ring — adds 10k.
+  constexpr std::size_t kBurst = 10'000;
+  const std::size_t once = arrival_burst_allocations(kBurst);
+  const std::size_t twice = arrival_burst_allocations(2 * kBurst);
+  EXPECT_LT(twice - once, kBurst / 50)
+      << "10k extra arrivals performed " << (twice - once)
+      << " heap allocations (" << once << " for the first 10k)";
 }
 
 TEST(DriverAllocationProbeTest, SteadyStateBetweenArrivalsIsAllocationFree) {

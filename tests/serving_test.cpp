@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
+#include "queueing/stability.hpp"
 #include "serving/admission.hpp"
 #include "serving/executor.hpp"
 #include "serving/metrics.hpp"
@@ -625,6 +628,92 @@ TEST(AdmissionTest, AcceptRejectBoundary) {
   // A departure frees the slot.
   admission.release(load);
   EXPECT_TRUE(admission.try_admit(shared_cache(), candidates).admitted);
+}
+
+/// The per-frame scan try_admit ran on every call before it memoized the
+/// load curve, verbatim: the reference the memo must reproduce bit for bit.
+AdmissionDecision scanned_decision(const FrameStatsCache& cache,
+                                   const std::vector<int>& candidates,
+                                   double residual) {
+  AdmissionDecision decision;
+  decision.residual_capacity = residual;
+  const int d_min = *std::min_element(candidates.begin(), candidates.end());
+  const int d_max = *std::max_element(candidates.begin(), candidates.end());
+  decision.cheapest_load =
+      AdmissionController::cheapest_depth_load(cache, candidates);
+  std::vector<double> mean_bytes(static_cast<std::size_t>(d_max) + 1, 0.0);
+  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
+    const FrameWorkload& frame = cache.workload(t);
+    for (int d = d_min; d <= d_max; ++d) {
+      mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
+    }
+  }
+  for (double& b : mean_bytes) b /= static_cast<double>(cache.frame_count());
+  decision.max_sustainable_depth =
+      max_sustainable_depth(mean_bytes, residual, d_min, d_max);
+  decision.admitted = decision.max_sustainable_depth >= d_min;
+  return decision;
+}
+
+TEST(AdmissionTest, MemoizedDecisionsMatchThePerCallScanBitForBit) {
+  // Every profile seed the suite's cluster benchmarks stream, and three
+  // candidate sets (one unsorted, one a single depth), alternated arrival
+  // by arrival through one controller under capacity scales 1, 0.5 and 0,
+  // with departures releasing load: each decision must equal the per-call
+  // scan's, bit for bit, as must the best-fit load lookup.
+  std::vector<std::unique_ptr<FrameStatsCache>> profiles;
+  for (const std::uint64_t seed : {17ULL, 23ULL, 31ULL, 47ULL, 71ULL}) {
+    profiles.push_back(
+        std::make_unique<FrameStatsCache>(*open_test_subject(seed), 8, 8));
+  }
+  // The single depth comes first: a memo blind to the candidate range would
+  // then serve its one-depth curve to the wider sets.
+  const std::vector<std::vector<int>> candidate_sets{
+      {4}, {3, 4, 5, 6}, {6, 3, 5}};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  AdmissionConfig config;
+  config.utilization_target = 1.0;
+  const double capacity =
+      3.0 * AdmissionController::cheapest_depth_load(*profiles[0],
+                                                     candidate_sets[1]);
+  AdmissionController admission(config, capacity);
+  double reserved = 0.0;  // the reference books, kept the same way
+  std::vector<double> held;
+  std::size_t admits = 0;
+  std::size_t rejects = 0;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const double scale = std::array{1.0, 0.5, 0.0}[(i / 10) % 3];
+    admission.set_capacity_scale(scale);
+    if (i % 4 == 3 && !held.empty()) {
+      admission.release(held.front());
+      reserved = std::max(reserved - held.front(), 0.0);
+      held.erase(held.begin());
+    }
+    const FrameStatsCache& cache = *profiles[i % profiles.size()];
+    const std::vector<int>& candidates =
+        candidate_sets[(i / profiles.size()) % candidate_sets.size()];
+    const double residual = std::max(capacity * scale - reserved, 0.0);
+    const AdmissionDecision want =
+        scanned_decision(cache, candidates, residual);
+    const AdmissionDecision got = admission.try_admit(cache, candidates);
+    ASSERT_EQ(bits(got.cheapest_load), bits(want.cheapest_load)) << i;
+    ASSERT_EQ(bits(got.residual_capacity), bits(want.residual_capacity)) << i;
+    ASSERT_EQ(got.max_sustainable_depth, want.max_sustainable_depth) << i;
+    ASSERT_EQ(got.admitted, want.admitted) << i;
+    ASSERT_EQ(bits(admission.cheapest_load(cache, candidates)),
+              bits(want.cheapest_load))
+        << i;
+    if (got.admitted) {
+      reserved += got.cheapest_load;
+      held.push_back(got.cheapest_load);
+      ++admits;
+    } else {
+      ++rejects;
+    }
+    ASSERT_EQ(bits(admission.reserved_load()), bits(reserved)) << i;
+  }
+  EXPECT_GT(admits, 30U);
+  EXPECT_GT(rejects, 30U);
 }
 
 TEST(AdmissionTest, DisabledAdmitsEverything) {

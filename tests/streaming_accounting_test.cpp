@@ -5,9 +5,11 @@
 // the full trace, across every regime that shapes a session's record:
 // dense fleets, churn with external closes, sessions too short for a
 // verdict, live migration, failover eviction, managers stepped past their
-// planned horizon (the ring must grow), and sessions ending at every phase
-// of the drain's staged tail block. The SLO sampler's quality floor, which
-// reads the tally's last quality, is pinned the same way.
+// planned horizon (the ring must grow), sessions ending at every phase
+// of the drain's staged tail block, and sessions ending before or right
+// after the first block flush allocates their ring. The SLO sampler's
+// quality floor, which reads the tally's last quality, is pinned the same
+// way.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
+#include "queueing/stability.hpp"
 #include "serving/admission.hpp"
 #include "serving/cluster.hpp"
 #include "serving/session_manager.hpp"
@@ -429,6 +432,104 @@ TEST(StreamingAccountingTest, StagedTailIsExactAtEveryBlockPhase) {
         }
       }
     }
+  }
+}
+
+TEST(StreamingAccountingTest, LazyRingIsExactForSessionsEndingEarly) {
+  // A session's tail ring is allocated by its first block flush, not at
+  // activation. Ten sessions arrive at slots 0..9; the run steps slots
+  // 0..8, then opens slot 9 (its departure sweep retires planned
+  // departures, and session 9 activates), and every session ends there: the
+  // ten cover 9..0 drained steps, on both sides of the first flush at 8.
+  // Departure and close retire sessions 0..8 in the sweep (a window cannot
+  // be empty, so session 9 ends at finish, and a close cancels it while
+  // still pending); eviction, extraction and finish end all ten after it.
+  constexpr std::size_t kEnd = 9;
+  constexpr std::size_t kSessions = kEnd + 1;
+  enum class End { kDeparture, kClose, kEviction, kExtraction, kFinish };
+  for (const End path : {End::kDeparture, End::kClose, End::kEviction,
+                         End::kExtraction, End::kFinish}) {
+    SCOPED_TRACE(::testing::Message() << "path " << static_cast<int>(path));
+    const ServingResult streamed = expect_modes_match([&](TraceMode mode) {
+      ServingConfig config = base_config(64, mode);
+      config.admission.enabled = false;
+      const double capacity = 5.0 * cheapest_load(config.candidates);
+      SessionManager manager(config, capacity);
+      for (std::size_t j = 0; j < kSessions; ++j) {
+        const bool departs = path == End::kDeparture && j < kEnd;
+        manager.submit(spec_at(j, departs ? kEnd : kNeverDeparts, j));
+      }
+      GilbertElliottChannel channel(capacity, 0.3, 0.1, 0.4, Rng(11));
+      for (std::size_t t = 0; t < kEnd; ++t) {
+        manager.step(channel.next_capacity_bytes());
+        const Status ok = manager.validate_store();
+        EXPECT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
+      }
+      if (path == End::kClose) {
+        for (std::size_t j = 0; j < kSessions; ++j) {
+          EXPECT_TRUE(manager.request_close(j));
+        }
+      }
+      manager.begin_slot();
+      std::vector<EvictedSession> evicted;
+      SessionManager::MigratedSession migrated;
+      switch (path) {
+        case End::kEviction:
+          EXPECT_EQ(manager.evict_all_active(evicted), kSessions);
+          break;
+        case End::kExtraction:
+          for (std::size_t j = 0; j < kSessions; ++j) {
+            EXPECT_TRUE(manager.extract_session(j, migrated));
+          }
+          break;
+        default:
+          break;
+      }
+      const Status ok = manager.validate_store();
+      EXPECT_TRUE(ok.ok()) << ok.to_string();
+      return manager.finish();
+    });
+    ASSERT_EQ(streamed.sessions.size(), kSessions);
+    for (std::size_t j = 0; j < kSessions; ++j) {
+      const SessionOutcome& s = streamed.sessions[j];
+      if (path == End::kClose && j == kEnd) {
+        EXPECT_FALSE(s.admitted) << "cancelled before arrival";
+        continue;
+      }
+      EXPECT_EQ(s.slots, kEnd - j) << j;
+      EXPECT_EQ(s.has_summary, s.slots > 0) << j;
+      if (s.has_summary) {
+        EXPECT_EQ(s.summary.partial, s.slots < 8) << j;
+      }
+    }
+  }
+}
+
+TEST(StreamingAccountingTest, RingIsAllocatedByTheFirstFlushNotActivation) {
+  // The store allocates no ring when it activates a session; the drain that
+  // completes its first block of kStageRows steps does, at the planned
+  // capacity. validate() holds at every step on both sides of that flush.
+  const ServingConfig config = base_config(8, TraceMode::kNone);
+  SessionStore store(config.candidates, config.v, TraceMode::kNone);
+  ServingSession& s = store.create(0, spec_at(0, kNeverDeparts, 0));
+  s.phase = SessionPhase::kActive;
+  store.activate(s, 120);
+  ASSERT_EQ(store.active_count(), 1U);
+  EXPECT_EQ(store.tallies()[0].ring, nullptr) << "ring allocated at activation";
+  EXPECT_EQ(store.tallies()[0].ring_cap, stability_tail_length(120));
+  for (std::size_t t = 0; t < 2 * kStageRows; ++t) {
+    store.decide_all();
+    store.drain(0, t, 300.0, 0.0);
+    const SessionTally& tally = store.tallies()[0];
+    if (t + 1 < kStageRows) {
+      EXPECT_EQ(tally.ring, nullptr) << "ring allocated before a flush, t "
+                                     << t;
+    } else {
+      EXPECT_NE(tally.ring, nullptr) << "ring missing after a flush, t " << t;
+      EXPECT_EQ(tally.ring_cap, stability_tail_length(120));
+    }
+    const Status ok = store.validate();
+    ASSERT_TRUE(ok.ok()) << "t " << t << ": " << ok.to_string();
   }
 }
 

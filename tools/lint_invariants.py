@@ -26,10 +26,12 @@ import sys
 
 # The hot-path TU set: the session arena + decide engine, the manager's
 # decide/drain slot loop, the schedulers, the cluster's placement and
-# handover step, the event calendar, and the telemetry record path.
-# Everything here runs per slot (or per session·slot) in the serving
-# benchmark.
+# handover step, link admission, the event calendar, and the telemetry
+# record path. Everything here runs per slot (or per session·slot) in the
+# serving benchmark, or once per arrival on the serial placement segment.
 HOT_PATH_FILES = [
+    "src/serving/admission.hpp",
+    "src/serving/admission.cpp",
     "src/serving/cluster.hpp",
     "src/serving/cluster.cpp",
     "src/serving/session_store.hpp",
