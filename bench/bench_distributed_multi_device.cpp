@@ -11,19 +11,39 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "net/edge.hpp"
 #include "net/streaming.hpp"
+#include "serving/session_manager.hpp"
 
 namespace {
 
 using namespace arvis;
 
+/// `n` identical devices on one link: every device is a session arriving at
+/// slot 0 and staying to the end, admission off.
+ServingResult run_ensemble(const ServingConfig& config, std::size_t n,
+                           const FrameStatsCache& cache, double link) {
+  std::vector<SessionSpec> specs(n);
+  for (SessionSpec& spec : specs) spec.cache = &cache;
+  ConstantChannel channel(link);
+  return run_serving_scenario(config, specs, channel);
+}
+
+/// Jain's index over per-device time-average quality.
+double quality_fairness(const ServingResult& result) {
+  std::vector<double> quality;
+  for (const SessionOutcome& s : result.sessions) {
+    quality.push_back(s.summary.time_average_quality);
+  }
+  return jain_fairness_index(quality);
+}
+
 void print_multi_device() {
   const auto& cache = bench::fig2_cache();
 
-  EdgeConfig config;
+  ServingConfig config;
   config.steps = 1'200;
   config.candidates = {5, 6, 7, 8, 9, 10};
+  config.admission.enabled = false;
 
   // Link sized so ~depth-8 streaming fits 4 devices.
   const double per_device_bytes = cache.workload(0).bytes(8);
@@ -36,29 +56,30 @@ void print_multi_device() {
   CsvTable out({"devices", "share_policy", "fairness", "total_avg_backlog",
                 "worst_device_verdict", "mean_depth_device0"});
   for (std::size_t n : {1, 2, 4, 8}) {
-    for (SharePolicy policy :
-         {SharePolicy::kEqual, SharePolicy::kWorkConserving}) {
-      config.share = policy;
-      std::vector<const FrameStatsCache*> caches(n, &cache);
-      ConstantChannel channel(link_capacity);
-      const EdgeResult result = run_edge_scenario(config, caches, channel);
+    for (SchedulerPolicy policy :
+         {SchedulerPolicy::kEqualShare, SchedulerPolicy::kWorkConserving}) {
+      config.policy = policy;
+      const ServingResult result =
+          run_ensemble(config, n, cache, link_capacity);
 
       StabilityVerdict worst = StabilityVerdict::kConvergentToZero;
-      for (const Trace& trace : result.device_traces) {
-        const auto v = trace.summarize().stability.verdict;
+      double total_backlog = 0.0;
+      for (const SessionOutcome& s : result.sessions) {
+        const auto v = s.summary.stability.verdict;
         if (v == StabilityVerdict::kDivergent) worst = v;
         else if (v == StabilityVerdict::kBoundedPositive &&
                  worst != StabilityVerdict::kDivergent) {
           worst = v;
         }
+        total_backlog += s.summary.time_average_backlog;
       }
       out.add_row({static_cast<std::int64_t>(n),
-                   std::string(policy == SharePolicy::kEqual
+                   std::string(policy == SchedulerPolicy::kEqualShare
                                    ? "equal"
                                    : "work-conserving"),
-                   result.quality_fairness, result.total_time_average_backlog,
+                   quality_fairness(result), total_backlog,
                    std::string(to_string(worst)),
-                   result.device_traces.front().summarize().mean_depth});
+                   result.sessions.front().summary.mean_depth});
     }
   }
   bench::print_table("Ablation D — distributed multi-device scaling", out);
@@ -71,18 +92,17 @@ void print_multi_device() {
 
 void BM_EdgeScenario(benchmark::State& state) {
   const auto& cache = bench::fig2_cache();
-  EdgeConfig config;
+  ServingConfig config;
   config.steps = 400;
   config.candidates = {5, 6, 7, 8, 9, 10};
+  config.admission.enabled = false;
   config.v = calibrate_streaming_v(cache, config.candidates,
                                    8.0 * cache.workload(0).bytes(8));
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<const FrameStatsCache*> caches(n, &cache);
   const double link = static_cast<double>(n) * cache.workload(0).bytes(8);
   for (auto _ : state) {
-    ConstantChannel channel(link);
     benchmark::DoNotOptimize(
-        run_edge_scenario(config, caches, channel).quality_fairness);
+        quality_fairness(run_ensemble(config, n, cache, link)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0) * 400);

@@ -25,8 +25,8 @@
 // violation:
 //   1. oracle equivalence: the runtime's slot loop, re-simulated through the
 //      original view-based controller path (ByteWorkloadView /
-//      LogPointQualityView / LyapunovDepthController + the demand-struct
-//      scheduler interface + a per-session DiscreteQueue), matches the
+//      LogPointQualityView / LyapunovDepthController + unhinted scheduler
+//      spans + a per-session DiscreteQueue), matches the
 //      SessionManager's traces bit for bit. Covered regimes: dense (the
 //      memoizer collapses the fleet to a handful of groups), churn (arrivals
 //      and departures mutate the groups every few slots), and a K>1 cluster
@@ -185,12 +185,12 @@ Measurement best_of(std::size_t reps, const auto& run) {
 // ------------------------------------------------------------- oracle ----
 // Re-simulates the slot loop the way the pre-SoA runtime computed it: one
 // object per session, per-slot non-owning views over the frame cache, the
-// virtual-dispatch controller, a per-session DiscreteQueue, and the
-// demand-struct scheduler interface (which carries none of the O(changed)
-// aggregate hints, so the schedulers' cached/fused fast paths are exercised
-// on the runtime side only). Any divergence between this and the runtime's
-// traces means the incremental decide engine, the blocked kernel, or a
-// scheduler fast path leaked into behaviour.
+// virtual-dispatch controller, a per-session DiscreteQueue, and scheduler
+// spans rebuilt from the live list every slot with default hints (none of
+// the O(changed) aggregates, so the schedulers' cached/uniform fast paths
+// are exercised on the runtime side only). Any divergence between this and
+// the runtime's traces means the incremental decide engine, the blocked
+// kernel, or a scheduler fast path leaked into behaviour.
 
 struct OracleSession {
   OracleSession(double v, std::size_t arrival_in, std::size_t departure_in,
@@ -239,14 +239,17 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
   }
   std::vector<std::size_t> live;
   std::size_t next_arrival = 0;
-  std::vector<SchedulerDemand> demands;
+  std::vector<double> backlog, arrivals, weight, ewma;
   std::vector<double> shares;
   for (std::size_t t = 0; t < steps; ++t) {
     std::erase_if(live, [&](std::size_t i) { return oracle[i].departure <= t; });
     while (next_arrival < n && oracle[next_arrival].arrival <= t) {
       live.push_back(next_arrival++);
     }
-    demands.resize(live.size());
+    backlog.clear();
+    arrivals.clear();
+    weight.clear();
+    ewma.clear();
     for (std::size_t j = 0; j < live.size(); ++j) {
       OracleSession& s = oracle[live[j]];
       const FrameWorkload& frame = hot_cache().workload(t - s.arrival);
@@ -263,10 +266,14 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
       record.arrivals = workload.arrivals(record.depth);
       record.quality = quality.quality(record.depth);
       s.steps.push_back(record);
-      demands[j] = {record.backlog_begin, record.arrivals, s.weight,
-                    pf ? s.ewma : -1.0};
+      backlog.push_back(record.backlog_begin);
+      arrivals.push_back(record.arrivals);
+      weight.push_back(s.weight);
+      if (pf) ewma.push_back(s.ewma);  // empty span when PF is off
     }
-    scheduler->allocate(capacity, demands, shares);
+    scheduler->allocate(capacity,
+                        SchedulerInput{backlog, arrivals, weight, ewma},
+                        shares);
     for (std::size_t j = 0; j < live.size(); ++j) {
       OracleSession& s = oracle[live[j]];
       StepRecord& record = s.steps.back();

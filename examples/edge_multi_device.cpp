@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "datasets/catalog.hpp"
-#include "net/edge.hpp"
 #include "net/streaming.hpp"
+#include "serving/session_manager.hpp"
 
 int main() {
   using namespace arvis;
@@ -39,27 +39,37 @@ int main() {
   for (const auto* cache : cache_ptrs) demand_at_8 += cache->workload(0).bytes(8);
   ConstantChannel channel(demand_at_8 * 1.2);
 
-  EdgeConfig config;
+  // Every device is a session arriving at slot 0 and staying to the end;
+  // admission is off, so the link never refuses anyone and each controller
+  // alone must find a sustainable depth.
+  ServingConfig config;
   config.steps = 1'000;
   config.candidates = {5, 6, 7, 8, 9};
   // Byte-domain pivot at ~6 frames of the first device's depth-8 bytes.
   config.v = calibrate_streaming_v(*cache_ptrs.front(), config.candidates,
                                    6.0 * cache_ptrs.front()->workload(0).bytes(8));
-  config.share = SharePolicy::kWorkConserving;
+  config.policy = SchedulerPolicy::kWorkConserving;
+  config.admission.enabled = false;
 
-  const EdgeResult result = run_edge_scenario(config, cache_ptrs, channel);
+  std::vector<SessionSpec> specs(cache_ptrs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) specs[i].cache = cache_ptrs[i];
+  const ServingResult result = run_serving_scenario(config, specs, channel);
 
   std::printf("\nper-device outcome after %zu slots:\n", config.steps);
-  for (std::size_t i = 0; i < result.device_traces.size(); ++i) {
-    const TraceSummary s = result.device_traces[i].summarize();
+  std::vector<double> qualities;
+  double total_backlog = 0.0;
+  for (std::size_t i = 0; i < result.sessions.size(); ++i) {
+    const TraceSummary& s = result.sessions[i].summary;
     std::printf(
         "  %-12s mean depth %.2f, avg backlog %8.0f B, %s\n",
         sources[i]->name().c_str(), s.mean_depth, s.time_average_backlog,
         to_string(s.stability.verdict));
+    qualities.push_back(s.time_average_quality);
+    total_backlog += s.time_average_backlog;
   }
   std::printf(
       "\nensemble: Jain fairness %.3f, total avg backlog %.0f B\n"
       "(each controller used only its own queue — no side information)\n",
-      result.quality_fairness, result.total_time_average_backlog);
+      jain_fairness_index(qualities), total_backlog);
   return 0;
 }

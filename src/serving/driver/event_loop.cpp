@@ -173,50 +173,11 @@ void EventLoop::schedule_stop(std::size_t slot) {
   push(slot, EventKind::kStop, 0);
 }
 
-void EventLoop::schedule_link_down(std::size_t slot, std::size_t link) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkDown,
-                               static_cast<std::uint32_t>(link), 1.0});
-  push(slot, EventKind::kLinkDown, faults_.size() - 1);
-}
-
-void EventLoop::schedule_link_up(std::size_t slot, std::size_t link) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkUp,
-                               static_cast<std::uint32_t>(link), 1.0});
-  push(slot, EventKind::kLinkUp, faults_.size() - 1);
-}
-
-void EventLoop::schedule_capacity_scale(std::size_t slot, std::size_t link,
-                                        double scale) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kCapacityScale,
-                               static_cast<std::uint32_t>(link), scale});
-  push(slot, EventKind::kCapacityScale, faults_.size() - 1);
-}
-
-void EventLoop::schedule_link_degrade(std::size_t slot, std::size_t link,
-                                      double scale, double delay) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkDegrade,
-                               static_cast<std::uint32_t>(link), scale,
-                               delay});
-  push(slot, EventKind::kLinkDegrade, faults_.size() - 1);
-}
-
 void EventLoop::schedule_fault_plan(const FaultPlan& plan) {
   faults_.reserve(faults_.size() + plan.events.size());
   for (const FaultEvent& f : plan.events) {
-    switch (f.kind) {
-      case FaultKind::kLinkDown:
-        schedule_link_down(f.slot, f.link);
-        break;
-      case FaultKind::kLinkUp:
-        schedule_link_up(f.slot, f.link);
-        break;
-      case FaultKind::kCapacityScale:
-        schedule_capacity_scale(f.slot, f.link, f.scale);
-        break;
-      case FaultKind::kLinkDegrade:
-        schedule_link_degrade(f.slot, f.link, f.scale, f.delay);
-        break;
-    }
+    faults_.push_back(f);
+    push(f.slot, EventKind::kFault, faults_.size() - 1);
   }
 }
 
@@ -384,6 +345,22 @@ std::uint64_t mix_retry(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
+
+/// Hands one fault event to the backend verb its kind names; returns
+/// whether the backend honoured it.
+bool apply_fault(ServingBackend& backend, const FaultEvent& fault) {
+  switch (fault.kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+      return backend.apply_link_state(fault.link,
+                                      fault.kind == FaultKind::kLinkDown);
+    case FaultKind::kCapacityScale:
+      return backend.apply_capacity_scale(fault.link, fault.scale);
+    case FaultKind::kLinkDegrade:
+      return backend.apply_link_degrade(fault.link, fault.scale, fault.delay);
+  }
+  return false;
+}
 }  // namespace
 
 void EventLoop::drain_retry_feed(std::size_t now, DriverReport& report) {
@@ -526,43 +503,16 @@ DriverReport EventLoop::run() {
             --stop_events_;
             stopped = true;
             break;
-          case EventKind::kLinkDown:
-          case EventKind::kLinkUp: {
+          case EventKind::kFault: {
             const FaultEvent& fault = faults_[event.payload];
-            const bool down =
-                static_cast<EventKind>(event.kind) == EventKind::kLinkDown;
-            if (backend_->apply_link_state(fault.link, down)) {
+            if (apply_fault(*backend_, fault)) {
               ++report.faults_applied;
             } else {
               // A bad link index in a hand-written plan is counted, not
               // fatal — same contract as close events.
               ++report.faults_ignored;
-              log_info("driver: ", down ? "link-down" : "link-up",
-                       " event at slot ", event.slot, " ignored (link ",
-                       fault.link, ")");
-            }
-            break;
-          }
-          case EventKind::kCapacityScale: {
-            const FaultEvent& fault = faults_[event.payload];
-            if (backend_->apply_capacity_scale(fault.link, fault.scale)) {
-              ++report.faults_applied;
-            } else {
-              ++report.faults_ignored;
-              log_info("driver: capacity-scale event at slot ", event.slot,
-                       " ignored (link ", fault.link, ")");
-            }
-            break;
-          }
-          case EventKind::kLinkDegrade: {
-            const FaultEvent& fault = faults_[event.payload];
-            if (backend_->apply_link_degrade(fault.link, fault.scale,
-                                             fault.delay)) {
-              ++report.faults_applied;
-            } else {
-              ++report.faults_ignored;
-              log_info("driver: link-degrade event at slot ", event.slot,
-                       " ignored (link ", fault.link, ")");
+              log_info("driver: ", to_string(fault.kind), " event at slot ",
+                       event.slot, " ignored (link ", fault.link, ")");
             }
             break;
           }

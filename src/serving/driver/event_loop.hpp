@@ -15,7 +15,10 @@
 //   close      external-close control: cancel one session mid-stream (a
 //              trace can express abandonment — the session departs at the
 //              event's slot instead of its declared departure)
-//   control    stop the run before a given slot (the fixed-horizon mode)
+//   stop       control: halt the run before a given slot (the
+//              fixed-horizon mode)
+//   fault      one FaultPlan event (link down/up, capacity scale, graded
+//              degradation), applied to the backend before its slot runs
 //
 // The calendar is a bucketed calendar queue keyed by slot (see
 // calendar.hpp): event push and pop are O(1) amortized under heavy churn,
@@ -376,24 +379,11 @@ class EventLoop {
   /// skipped). The earliest scheduled stop wins.
   void schedule_stop(std::size_t slot);
 
-  /// Schedules a link outage start / recovery at `slot` (fires before the
-  /// slot executes, like close events). Whether the backend honours it lands
-  /// in the report's faults_applied / faults_ignored.
-  void schedule_link_down(std::size_t slot, std::size_t link);
-  void schedule_link_up(std::size_t slot, std::size_t link);
-
-  /// Schedules a capacity scale change (radio fade / brownout) at `slot`.
-  void schedule_capacity_scale(std::size_t slot, std::size_t link,
-                               double scale);
-
-  /// Schedules a graded degradation (kLinkDegrade) at `slot`: the link
-  /// keeps `scale` of its capacity and reports `delay` slots of added
-  /// per-slot latency (the handover-pressure signal).
-  void schedule_link_degrade(std::size_t slot, std::size_t link, double scale,
-                             double delay);
-
-  /// Schedules every event of a fault plan. The plan composes freely with
-  /// scheduled arrivals, an arrival source, and other plans.
+  /// Schedules every event of a fault plan, each at its own slot (it fires
+  /// before the slot executes, like close events). The plan composes freely
+  /// with scheduled arrivals, an arrival source, and other plans. Whether
+  /// the backend honours an event lands in the report's faults_applied /
+  /// faults_ignored.
   void schedule_fault_plan(const FaultPlan& plan);
 
   /// Attaches an incremental arrival feed (must outlive run()). At most one
@@ -412,10 +402,7 @@ class EventLoop {
     kSnapshot,
     kClose,
     kStop,
-    kLinkDown,
-    kLinkUp,
-    kCapacityScale,
-    kLinkDegrade,
+    kFault,
   };
 
   void push(std::size_t slot, EventKind kind, std::size_t payload);
@@ -439,7 +426,7 @@ class EventLoop {
   /// to specs_. A CalendarEvent carries one size_t payload, so the attempt
   /// rides here rather than in the event.
   std::vector<std::uint32_t> spec_attempt_;
-  /// Fault payloads; kLinkDown/kLinkUp/kCapacityScale events index here.
+  /// Fault payloads; kFault events index here.
   std::vector<FaultEvent> faults_;
   /// Runtime id -> retry generation, populated only for retried arrivals
   /// (attempt >= 1), so fault-free runs never touch it. Lets a seed for a

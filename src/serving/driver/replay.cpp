@@ -118,8 +118,7 @@ SessionSpec trace_session_spec(
   spec.departure_slot =
       event.duration > 0 ? event.t_arrive + event.duration : kNeverDeparts;
   spec.weight = event.weight;
-  // The trace carries no seed column: each session's stream derives from its
-  // row index, so identical files replay identically everywhere.
+  // The trace carries no seed column; the row index tags the session.
   spec.seed = index;
   spec.qos = static_cast<std::uint8_t>(event.qos);
   return spec;

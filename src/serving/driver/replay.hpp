@@ -54,9 +54,9 @@ struct ReplayResult {
 
 /// The SessionSpec a trace event denotes: profile id resolved against
 /// `profiles`, departure = arrival + duration (kNeverDeparts for duration
-/// 0), and the session's RNG stream seeded from its row `index` so a trace
-/// file fully determines the run. Throws std::invalid_argument on a profile
-/// id out of range.
+/// 0), and the row `index` as the spec's seed tag (the runtime carries it
+/// and never reads it). Throws std::invalid_argument on a profile id out of
+/// range.
 SessionSpec trace_session_spec(const TraceEvent& event, std::size_t index,
                                const std::vector<const FrameStatsCache*>& profiles);
 

@@ -76,9 +76,8 @@ Result<QosClass> parse_qos_class(const std::string& text);
 /// best-effort 0.5, standard 1.0, premium 2.0.
 double default_qos_weight(QosClass qos) noexcept;
 
-/// One session arrival. The trace carries no seed column: replay derives each
-/// session's RNG stream from its row index, so a trace file fully determines
-/// a run without hiding entropy in the format.
+/// One session arrival. The trace carries no seed column and the runtime
+/// draws no per-session randomness, so a trace file fully determines a run.
 struct TraceEvent {
   std::size_t t_arrive = 0;
   /// Slots the session stays once admitted; 0 = until the run ends.

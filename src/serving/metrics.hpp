@@ -1,8 +1,6 @@
 // Fleet-level serving metrics: per-session outcomes plus the aggregates the
 // operator dashboards care about (fairness, backlog, capacity utilization,
-// admission counts). Home of jain_fairness_index, which moved here from
-// net/edge when the edge scenario became a thin wrapper over the serving
-// runtime.
+// admission counts), plus Jain's fairness index over any per-session value.
 #pragma once
 
 #include <algorithm>

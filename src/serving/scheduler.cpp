@@ -79,26 +79,6 @@ std::size_t probe(const std::vector<std::uint32_t>& table,
 
 }  // namespace
 
-void EdgeScheduler::allocate(double capacity,
-                             const std::vector<SchedulerDemand>& demands,
-                             std::vector<double>& shares) {
-  const std::size_t n = demands.size();
-  compat_backlog_.resize(n);
-  compat_arrivals_.resize(n);
-  compat_weight_.resize(n);
-  compat_ewma_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    compat_backlog_[i] = demands[i].backlog;
-    compat_arrivals_[i] = demands[i].arrivals;
-    compat_weight_[i] = demands[i].weight;
-    compat_ewma_[i] = demands[i].ewma_throughput;
-  }
-  allocate(capacity,
-           SchedulerInput{compat_backlog_, compat_arrivals_, compat_weight_,
-                          compat_ewma_},
-           shares);
-}
-
 void EqualShareScheduler::allocate(double capacity,
                                    const SchedulerInput& demands,
                                    std::vector<double>& shares) {
@@ -182,21 +162,22 @@ void ProportionalFairScheduler::allocate(double capacity,
   // (1 + EWMA served bytes/slot). The +1 byte floors the denominator so a
   // brand-new session (EWMA 0) gets the largest catch-up pull instead of a
   // division by zero; at streaming scales (KBs/slot) the offset is noise.
-  // Demands without history (ewma < 0) keep the instantaneous-demand pull,
-  // preserving the legacy allocation bit for bit.
+  // History comes for every session or for none, so the only test left is
+  // loop-invariant; without history the denominator is 1.0 for everyone,
+  // which keeps the instantaneous-demand pull bit for bit.
+  const std::span<const double> history = demands.ewma_throughput;
+  const auto denom = [&](std::size_t i) {
+    return history.empty() ? 1.0 : 1.0 + history[i];
+  };
   const auto pull = [&](std::size_t i) {
     const double want = demands.total(i) - shares[i];
-    const double history = demands.ewma(i);
-    const double denom = history >= 0.0 ? 1.0 + history : 1.0;
-    return demands.weight[i] * want / denom;
+    return demands.weight[i] * want / denom(i);
   };
   // First-round pull with shares implicitly zero: total(i) - 0.0 == total(i)
   // bitwise for the non-negative demands the runtime produces, so the fused
   // round below reproduces the generic round exactly.
   const auto pull0 = [&](std::size_t i) {
-    const double history = demands.ewma(i);
-    const double denom = history >= 0.0 ? 1.0 + history : 1.0;
-    return demands.weight[i] * demands.total(i) / denom;
+    return demands.weight[i] * demands.total(i) / denom(i);
   };
 
   std::vector<std::size_t>& unsatisfied = scratch_;
@@ -373,23 +354,13 @@ void WeightedPriorityScheduler::allocate(double capacity,
     return;
   }
 
-  // Uniform fleet (hinted by the store's weight histogram, or detected in
-  // one compare pass): the permutation would be the identity and the tier
-  // split one maximal run, so the whole policy degenerates to a single
-  // water-fill over everyone — bit-identical, no partition. An inf or NaN
-  // weight fails same_tier against itself, one tier per session, so such a
-  // fleet takes the tier path.
-  bool uniform = demands.uniform_weights == 1;
-  if (demands.uniform_weights < 0) {
-    uniform = true;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (demands.weight[i] != demands.weight[0]) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-  if (uniform && same_tier(demands.weight[0], demands.weight[0])) {
+  // Uniform fleet (hinted by the store's weight histogram): the permutation
+  // would be the identity and the tier split one maximal run, so the whole
+  // policy degenerates to a single water-fill over everyone — bit-identical,
+  // no partition. An inf or NaN weight fails same_tier against itself, one
+  // tier per session, so such a fleet takes the tier path.
+  if (demands.uniform_weights &&
+      same_tier(demands.weight[0], demands.weight[0])) {
     ++stats_.fast_path;
     if (capacity > 0.0) {
       fill_indices(tier_, n);

@@ -1,21 +1,17 @@
 // Per-slot link capacity allocation among concurrent serving sessions.
 //
-// The seed's edge scenario hardcoded two share policies in run_edge_scenario;
-// the serving runtime needs them pluggable (the policy is the one piece of
-// the edge that is centralized — devices stay fully distributed, the link
-// merely divides its own capacity). All policies are functionally stateless
-// per slot (they may keep scratch buffers so steady-state allocation stays
-// zero, but no decision depends on a previous slot) and must uphold two
-// invariants, checked by tests:
+// The policy is the one piece of the edge that is centralized — devices stay
+// fully distributed, the link merely divides its own capacity — so it is
+// pluggable. All policies are functionally stateless per slot (they may keep
+// scratch buffers so steady-state allocation stays zero, but no decision
+// depends on a previous slot) and must uphold two invariants, checked by
+// tests:
 //   * shares[i] >= 0 for all i,
 //   * sum(shares) <= capacity (+ float slack).
 //
 // The kernels consume *flat per-field arrays* (SchedulerInput spans over the
 // session store's SoA mirrors) so the schedule phase walks contiguous
-// memory with no per-session struct copy-in. The demand-struct shape
-// (SchedulerDemand) survives as a convenience adapter for tests and
-// external callers; it unpacks into scratch arrays and forwards to the same
-// kernels, bit for bit.
+// memory with no per-session struct copy-in.
 //
 // Steady-state cost is kept proportional to what changed, not to the
 // population, wherever that is possible without perturbing a single bit.
@@ -42,33 +38,18 @@
 
 namespace arvis {
 
-/// One session's demand as seen by the scheduler in one slot (the adapter
-/// shape; the hot path feeds SchedulerInput spans instead).
-struct SchedulerDemand {
-  /// Queue backlog Q(t) at slot start (bytes).
-  double backlog = 0.0;
-  /// Bytes enqueued this slot, a(d(t)).
-  double arrivals = 0.0;
-  /// Relative priority (>= 0; only weighted policies look at it).
-  double weight = 1.0;
-  /// EWMA of bytes actually served per slot, maintained by the session
-  /// manager when ServingConfig::pf_ewma_window > 0. Negative means "no
-  /// history supplied": proportional-fair then weighs instantaneous demand
-  /// (the legacy behaviour, bit-for-bit).
-  double ewma_throughput = -1.0;
-
-  /// Most the session could drain this slot.
-  [[nodiscard]] double total() const noexcept { return backlog + arrivals; }
-};
-
 /// One slot's demand set as flat per-field spans (SoA), index-parallel.
-/// `ewma_throughput` may be EMPTY — "no history supplied for anyone", the
-/// common case — or full-length with -1 marking individual no-history
-/// entries (the adapter shape).
 struct SchedulerInput {
+  /// Queue backlog Q(t) at slot start (bytes).
   std::span<const double> backlog;
+  /// Bytes enqueued this slot, a(d(t)).
   std::span<const double> arrivals;
+  /// Relative priority (>= 0; only weighted policies look at it).
   std::span<const double> weight;
+  /// EWMA of bytes actually served per slot (>= 0), maintained by the
+  /// session manager when ServingConfig::pf_ewma_window > 0. Either EMPTY —
+  /// no history for anyone, the default: proportional-fair then weighs
+  /// instantaneous demand — or full-length with history for every session.
   std::span<const double> ewma_throughput;
 
   // O(changed) aggregate hints, maintained by the session store at lifecycle
@@ -79,20 +60,17 @@ struct SchedulerInput {
   /// Nonzero generations promise: equal generation (from the same caller) ⇒
   /// identical session set in identical index order with identical weights,
   /// so policies may cache cross-slot structure (weighted-priority's
-  /// tier permutation) keyed on it. 0 = unknown/uncacheable (the adapter
-  /// default) — rebuild every call.
+  /// tier permutation) keyed on it. 0 (the default) = uncacheable —
+  /// rebuild every call.
   std::uint64_t membership_generation = 0;
-  /// 1 = every weight has the same bit pattern, 0 = not, -1 = unknown.
-  std::int8_t uniform_weights = -1;
+  /// True promises that every weight has the same bit pattern. The default
+  /// false promises nothing and takes the general path.
+  bool uniform_weights = false;
 
   [[nodiscard]] std::size_t size() const noexcept { return backlog.size(); }
   /// Most session i could drain this slot.
   [[nodiscard]] double total(std::size_t i) const noexcept {
     return backlog[i] + arrivals[i];
-  }
-  /// Session i's served-bytes history, -1 when none was supplied.
-  [[nodiscard]] double ewma(std::size_t i) const noexcept {
-    return ewma_throughput.empty() ? -1.0 : ewma_throughput[i];
   }
 };
 
@@ -121,12 +99,6 @@ class EdgeScheduler {
   virtual void allocate(double capacity, const SchedulerInput& demands,
                         std::vector<double>& shares) = 0;
 
-  /// Demand-struct adapter: unpacks into scratch SoA arrays and forwards to
-  /// the span kernel — same arithmetic, same results, a copy slower. Derived
-  /// classes re-expose it with `using EdgeScheduler::allocate`.
-  void allocate(double capacity, const std::vector<SchedulerDemand>& demands,
-                std::vector<double>& shares);
-
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Cumulative dispatch accounting since construction.
@@ -134,20 +106,12 @@ class EdgeScheduler {
 
  protected:
   SchedulerStats stats_;
-
- private:
-  // Adapter scratch, reused across calls.
-  std::vector<double> compat_backlog_;
-  std::vector<double> compat_arrivals_;
-  std::vector<double> compat_weight_;
-  std::vector<double> compat_ewma_;
 };
 
 /// capacity / N to every session regardless of demand; unused share wasted
-/// (TDMA-like). The seed's SharePolicy::kEqual.
+/// (TDMA-like).
 class EqualShareScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override { return "equal-share"; }
@@ -159,7 +123,6 @@ class EqualShareScheduler final : public EdgeScheduler {
 /// conserving: while any session's demand is unmet, no capacity is wasted.
 class WorkConservingScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override { return "work-conserving"; }
@@ -173,15 +136,15 @@ class WorkConservingScheduler final : public EdgeScheduler {
 /// with larger queues drain proportionally faster, which equalizes sojourn
 /// times across heterogeneous content.
 ///
-/// When demands carry an EWMA throughput history (ewma(i) >= 0, fed by the
-/// session manager's pf_ewma_window knob) the offer becomes true
+/// When demands carry an EWMA throughput history (a non-empty
+/// ewma_throughput span, fed by the session manager's pf_ewma_window knob)
+/// the offer becomes true
 /// proportional fairness: weight * demand / (1 + historical throughput), so
 /// a session that has been drinking from the link for many slots yields to
 /// one that has been starved, instead of the instantaneous-demand split that
 /// lets a heavy backlog monopolize the link forever.
 class ProportionalFairScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {
@@ -212,13 +175,12 @@ class ProportionalFairScheduler final : public EdgeScheduler {
 /// generation moves almost every slot and the rebuild runs every slot.
 /// Rebuilds still count as stats().generic (the `scheduler_generic` registry
 /// counter) and reuses as fast_path, so the fast-path ratio keeps its
-/// meaning: the share of slots that skipped the rebuild. A uniform
-/// fleet (uniform_weights hint, or detected) skips the partition
-/// altogether — one water-fill over everyone, which is exactly what the
-/// partition degenerates to when all weights are equal.
+/// meaning: the share of slots that skipped the rebuild. A fleet hinted
+/// uniform (uniform_weights) skips the partition altogether — one water-fill
+/// over everyone, which is exactly what the partition degenerates to when
+/// all weights are equal.
 class WeightedPriorityScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {
@@ -258,7 +220,6 @@ class WeightedPriorityScheduler final : public EdgeScheduler {
 /// after every weighted demand is met).
 class DeficitRoundRobinScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {

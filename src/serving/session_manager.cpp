@@ -400,7 +400,7 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
     // let weighted policies reuse their tier permutation across slots
     // and skip tier-finding for uniform fleets (bit-identical either way).
     demands.membership_generation = store_.membership_generation();
-    demands.uniform_weights = store_.uniform_weights() ? 1 : 0;
+    demands.uniform_weights = store_.uniform_weights();
     scheduler_->allocate(capacity_bytes, demands, shares_);
   }
 

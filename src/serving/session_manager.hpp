@@ -224,10 +224,9 @@ class SessionManager {
 
   /// External-placement hook (EdgeCluster): runs this link's admission on
   /// `spec` right now. On accept the session is created *active at the
-  /// current slot* under the caller-assigned `session_id` (which also seeds
-  /// the per-session RNG stream, so placement decisions never perturb
-  /// another session's randomness). On reject nothing is recorded beyond
-  /// admission stats — the caller may spill the session to another link.
+  /// current slot* under the caller-assigned `session_id`. On reject
+  /// nothing is recorded beyond admission stats — the caller may spill the
+  /// session to another link.
   /// Same validation as submit(). Call between begin_slot() and the decide
   /// phase.
   AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
@@ -448,8 +447,9 @@ class SessionManager {
 
 /// Convenience one-shot: submits `specs`, steps `config.steps` slots drawing
 /// capacity from `channel`, and finishes — the plain submit/step/finish
-/// loop. The usual entry point for benches and the edge wrapper; the K = 1
-/// round-robin cluster on the EventLoop reproduces it bit for bit (tested).
+/// loop. The usual entry point for benches, examples and the multi-device
+/// ensemble tests; the K = 1 round-robin cluster on the EventLoop reproduces
+/// it bit for bit (tested).
 ServingResult run_serving_scenario(const ServingConfig& config,
                                    const std::vector<SessionSpec>& specs,
                                    ChannelModel& channel);

@@ -3,7 +3,7 @@
 //
 // The slot loop's cost has two components. PR 4 attacked *memory traffic*:
 // the store separates a session's cold slab record (spec, queue statistics,
-// trace, RNG stream) from dense struct-of-arrays mirrors of exactly the
+// trace) from dense struct-of-arrays mirrors of exactly the
 // fields the decide/schedule/drain phases read every slot, so each phase is
 // a linear walk over contiguous doubles. This PR attacks *redundant
 // arithmetic*: in a dense fleet thousands of sessions share one flattened
@@ -78,7 +78,6 @@
 
 #include "common/check.hpp"
 #include "common/chunked_array.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "sim/frame_stats_cache.hpp"
 #include "sim/trace.hpp"
@@ -162,8 +161,9 @@ struct SessionSpec {
   std::size_t departure_slot = kNeverDeparts;
   /// Scheduler priority (finite, >= 0; weighted policies only).
   double weight = 1.0;
-  /// Seed of this session's private RNG stream (split per session so runs
-  /// are reproducible regardless of arrival order or thread count).
+  /// Caller-owned tag: a trace replay stores the row index here, and a
+  /// benchmark may store a lineage key. The runtime carries it with the
+  /// session and never reads it.
   std::uint64_t seed = 0;
   /// QoS tier for SLO accounting: 0 = best-effort, 1 = standard,
   /// 2 = premium. Raw index (not the driver-layer QosClass enum — this layer
@@ -194,13 +194,7 @@ struct HotSessionState {
 /// TraceMode::kAll only).
 struct ServingSession {
   ServingSession(std::size_t id_in, const SessionSpec& spec_in)
-      : id(id_in),
-        spec(spec_in),
-        // Mix the session id into the stream so sessions sharing a spec
-        // seed (e.g. the default 0) still draw independent randomness.
-        rng(Rng(spec_in.seed ^ (0x9E3779B97F4A7C15ULL * (id_in + 1)))
-                .split()),
-        arrival_actual(spec_in.arrival_slot) {}
+      : id(id_in), spec(spec_in), arrival_actual(spec_in.arrival_slot) {}
 
   std::size_t id;
   SessionSpec spec;
@@ -210,10 +204,6 @@ struct ServingSession {
   /// retires from the active list; meaningless while it is active.
   SessionTally tally;
   std::vector<double> tail_ring;
-  /// Private stream derived from the spec seed; reserved for stochastic
-  /// controllers/arrival jitter so adding them later cannot perturb any
-  /// other session's stream.
-  Rng rng;
   SessionPhase phase = SessionPhase::kPending;
   bool admitted = false;
   /// Cancelled by an external-close control event before it ever arrived;

@@ -557,7 +557,6 @@ TEST(AllocationProbeTest, WeightedPriorityRebuildAndHandoverAreAllocationFree) {
                          std::span<const double>(weight).first(n),
                          {}};
     input.membership_generation = generation;
-    input.uniform_weights = 0;
     wp.allocate(0.5 * demand, input, shares);
   };
   allocate(kMaxSessions, 1);  // warm-up: scratch grows to the largest fleet

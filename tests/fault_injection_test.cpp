@@ -587,7 +587,7 @@ TEST(ClusterFaultTest, CloseDuringOutageRoutesToEvictionPathAndCounts) {
   loop.schedule_arrival(0, session_spec(0, 60));
   // Same slot, scheduled after the outage: calendar order is (slot, seq),
   // so the close sees the *displaced* session.
-  loop.schedule_link_down(10, 0);
+  loop.schedule_fault_plan(FaultPlan().outage(0, 10, 0));  // never recovers
   loop.schedule_close(10, 0);
   const DriverReport report = loop.run();
 

@@ -9,11 +9,11 @@
 #include "analysis/time_series.hpp"
 #include "datasets/catalog.hpp"
 #include "lyapunov/depth_controller.hpp"
-#include "net/edge.hpp"
 #include "net/streaming.hpp"
 #include "octree/occupancy_codec.hpp"
 #include "pointcloud/metrics.hpp"
 #include "pointcloud/ply_io.hpp"
+#include "serving/session_manager.hpp"
 #include "sim/simulation.hpp"
 
 namespace arvis {
@@ -200,20 +200,25 @@ TEST(IntegrationTest, EndToEndEdgeScenarioWithHeterogeneousDevices) {
   const FrameStatsCache cache_a(**loot, 8, 6);
   const FrameStatsCache cache_b(**soldier, 8, 6);
 
-  EdgeConfig config;
+  ServingConfig config;
   config.steps = 600;
   config.candidates = {3, 4, 5, 6, 7};
   config.v = calibrate_streaming_v(cache_a, config.candidates,
                                    4.0 * cache_a.workload(0).bytes(5));
+  config.admission.enabled = false;
+  std::vector<SessionSpec> specs(2);
+  specs[0].cache = &cache_a;
+  specs[1].cache = &cache_b;
   ConstantChannel channel(
       (cache_a.workload(0).bytes(5) + cache_b.workload(0).bytes(5)) * 1.4);
-  const EdgeResult result =
-      run_edge_scenario(config, {&cache_a, &cache_b}, channel);
-  for (const Trace& trace : result.device_traces) {
-    EXPECT_NE(trace.summarize().stability.verdict,
-              StabilityVerdict::kDivergent);
+  const ServingResult result = run_serving_scenario(config, specs, channel);
+  std::vector<double> quality;
+  for (const SessionOutcome& s : result.sessions) {
+    ASSERT_TRUE(s.has_summary);
+    EXPECT_NE(s.summary.stability.verdict, StabilityVerdict::kDivergent);
+    quality.push_back(s.summary.time_average_quality);
   }
-  EXPECT_GT(result.quality_fairness, 0.8);
+  EXPECT_GT(jain_fairness_index(quality), 0.8);
 }
 
 }  // namespace

@@ -316,8 +316,11 @@ TEST(HandoverPolicyTest, DegradedLinkHandsSessionsOverAndBooksBalance) {
   for (std::size_t i = 0; i < 3; ++i) {
     loop.schedule_arrival(0, session_spec(0, 120, i));
   }
-  loop.schedule_link_degrade(40, 0, 0.2, 3.0);   // score 1.1: enter
-  loop.schedule_link_degrade(80, 0, 1.0, 0.0);   // recover: exit
+  FaultPlan plan;
+  plan.events = {
+      {40, FaultKind::kLinkDegrade, 0, 0.2, 3.0},   // score 1.1: enter
+      {80, FaultKind::kLinkDegrade, 0, 1.0, 0.0}};  // recover: exit
+  loop.schedule_fault_plan(plan);
   const DriverReport report = loop.run();
 
   EXPECT_GT(report.migrations_completed, 0U);
@@ -367,12 +370,14 @@ TEST(HandoverPolicyTest, SessionBudgetSuppressesPingPong) {
       loop.schedule_arrival(0, session_spec(0, 400, i));
     }
     // Flap the degradation between the links every 40 slots.
-    for (std::size_t round = 0; round < 4; ++round) {
-      const std::size_t link = round % 2;
+    FaultPlan flap;
+    for (std::uint32_t round = 0; round < 4; ++round) {
+      const std::uint32_t link = round % 2;
       const std::size_t at = 40 + round * 80;
-      loop.schedule_link_degrade(at, link, 0.2, 3.0);
-      loop.schedule_link_degrade(at + 40, link, 1.0, 0.0);
+      flap.events.push_back({at, FaultKind::kLinkDegrade, link, 0.2, 3.0});
+      flap.events.push_back({at + 40, FaultKind::kLinkDegrade, link, 1.0, 0.0});
     }
+    loop.schedule_fault_plan(flap);
     loop.run();
     return cluster.finish();
   };

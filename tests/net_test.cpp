@@ -1,12 +1,12 @@
 // Tests for the networking substrate: channel models, the byte-domain
-// streaming session, and the multi-device edge scenario.
+// streaming session, and the multi-device edge ensemble on one shared link.
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
-#include "net/edge.hpp"
 #include "net/streaming.hpp"
+#include "serving/session_manager.hpp"
 
 namespace arvis {
 namespace {
@@ -138,9 +138,38 @@ TEST(JainFairnessTest, KnownValues) {
   EXPECT_DOUBLE_EQ(jain_fairness_index({0, 0}), 1.0);
 }
 
+/// The paper's distributed ensemble: every device is a session arriving at
+/// slot 0 and staying to the end, admission off, so each controller alone
+/// must find a sustainable depth on the shared link.
+ServingResult run_ensemble(ServingConfig config,
+                           const std::vector<const FrameStatsCache*>& caches,
+                           ChannelModel& channel) {
+  config.admission.enabled = false;
+  std::vector<SessionSpec> specs(caches.size());
+  for (std::size_t i = 0; i < caches.size(); ++i) specs[i].cache = caches[i];
+  return run_serving_scenario(config, specs, channel);
+}
+
+/// Jain's index over per-device time-average quality.
+double quality_fairness(const ServingResult& result) {
+  std::vector<double> quality;
+  for (const SessionOutcome& s : result.sessions) {
+    quality.push_back(s.summary.time_average_quality);
+  }
+  return jain_fairness_index(quality);
+}
+
+double total_time_average_backlog(const ServingResult& result) {
+  double total = 0.0;
+  for (const SessionOutcome& s : result.sessions) {
+    total += s.summary.time_average_backlog;
+  }
+  return total;
+}
+
 TEST(EdgeScenarioTest, IdenticalDevicesAreFair) {
   const auto& cache = shared_cache();
-  EdgeConfig config;
+  ServingConfig config;
   config.steps = 400;
   config.candidates = {3, 4, 5, 6};
   config.v = calibrate_streaming_v(cache, config.candidates,
@@ -148,12 +177,12 @@ TEST(EdgeScenarioTest, IdenticalDevicesAreFair) {
   const std::vector<const FrameStatsCache*> caches{&cache, &cache, &cache};
   // Link fits 3 devices at depth ~5.
   ConstantChannel channel(3.0 * cache.workload(0).bytes(5) * 1.2);
-  const EdgeResult result = run_edge_scenario(config, caches, channel);
-  ASSERT_EQ(result.device_traces.size(), 3U);
-  EXPECT_GT(result.quality_fairness, 0.99);
-  for (const Trace& trace : result.device_traces) {
-    EXPECT_NE(trace.summarize().stability.verdict,
-              StabilityVerdict::kDivergent);
+  const ServingResult result = run_ensemble(config, caches, channel);
+  ASSERT_EQ(result.sessions.size(), 3U);
+  EXPECT_GT(quality_fairness(result), 0.99);
+  for (const SessionOutcome& s : result.sessions) {
+    ASSERT_TRUE(s.has_summary);
+    EXPECT_NE(s.summary.stability.verdict, StabilityVerdict::kDivergent);
   }
 }
 
@@ -161,7 +190,7 @@ TEST(EdgeScenarioTest, LocalControlKeepsEnsembleStable) {
   // More devices than the link comfortably fits at max depth: every local
   // controller must back off to a sustainable depth without coordination.
   const auto& cache = shared_cache();
-  EdgeConfig config;
+  ServingConfig config;
   config.steps = 1'500;
   config.candidates = {3, 4, 5, 6, 7, 8};
   config.v = calibrate_streaming_v(cache, config.candidates,
@@ -170,55 +199,34 @@ TEST(EdgeScenarioTest, LocalControlKeepsEnsembleStable) {
                                                    &cache};
   // Capacity fits 4 devices only around depth 4-5.
   ConstantChannel channel(4.0 * cache.workload(0).bytes(4) * 1.5);
-  const EdgeResult result = run_edge_scenario(config, caches, channel);
-  for (const Trace& trace : result.device_traces) {
-    const TraceSummary s = trace.summarize();
-    EXPECT_NE(s.stability.verdict, StabilityVerdict::kDivergent);
-    EXPECT_LT(s.mean_depth, 8.0);  // backed off from max
+  const ServingResult result = run_ensemble(config, caches, channel);
+  ASSERT_EQ(result.sessions.size(), 4U);
+  for (const SessionOutcome& s : result.sessions) {
+    ASSERT_TRUE(s.has_summary);
+    EXPECT_NE(s.summary.stability.verdict, StabilityVerdict::kDivergent);
+    EXPECT_LT(s.summary.mean_depth, 8.0);  // backed off from max
   }
 }
 
 TEST(EdgeScenarioTest, WorkConservingBeatsEqualSplit) {
   const auto& cache = shared_cache();
-  EdgeConfig equal_config;
+  ServingConfig equal_config;
   equal_config.steps = 800;
   equal_config.candidates = {3, 4, 5, 6};
   equal_config.v = calibrate_streaming_v(cache, equal_config.candidates,
                                          4.0 * cache.workload(0).bytes(5));
-  equal_config.share = SharePolicy::kEqual;
-  EdgeConfig wc_config = equal_config;
-  wc_config.share = SharePolicy::kWorkConserving;
+  equal_config.policy = SchedulerPolicy::kEqualShare;
+  ServingConfig wc_config = equal_config;
+  wc_config.policy = SchedulerPolicy::kWorkConserving;
 
   const std::vector<const FrameStatsCache*> caches{&cache, &cache};
   const double capacity = 2.0 * cache.workload(0).bytes(5) * 1.1;
   ConstantChannel ch1(capacity), ch2(capacity);
-  const EdgeResult equal = run_edge_scenario(equal_config, caches, ch1);
-  const EdgeResult wc = run_edge_scenario(wc_config, caches, ch2);
+  const ServingResult equal = run_ensemble(equal_config, caches, ch1);
+  const ServingResult wc = run_ensemble(wc_config, caches, ch2);
   // Work conservation can only reduce total backlog.
-  EXPECT_LE(wc.total_time_average_backlog,
-            equal.total_time_average_backlog * 1.05);
-}
-
-TEST(EdgeScenarioTest, Validation) {
-  const auto& cache = shared_cache();
-  ConstantChannel channel(100.0);
-  EdgeConfig config;
-  EXPECT_THROW(run_edge_scenario(config, {}, channel), std::invalid_argument);
-  EXPECT_THROW(run_edge_scenario(config, {nullptr}, channel),
-               std::invalid_argument);
-  config.steps = 0;
-  EXPECT_THROW(run_edge_scenario(config, {&cache}, channel),
-               std::invalid_argument);
-  config.steps = 10;
-  config.candidates = {99};
-  EXPECT_THROW(run_edge_scenario(config, {&cache}, channel),
-               std::invalid_argument);
-  // Too short to summarize fails loudly, not with silent zero metrics.
-  config = EdgeConfig{};
-  config.candidates = {3, 4, 5};
-  config.steps = 5;
-  EXPECT_THROW(run_edge_scenario(config, {&cache}, channel),
-               std::logic_error);
+  EXPECT_LE(total_time_average_backlog(wc),
+            total_time_average_backlog(equal) * 1.05);
 }
 
 }  // namespace

@@ -63,9 +63,57 @@ TEST(ServingMetricsTest, JainDegenerateCases) {
 
 // ---------------------------------------------------------- Schedulers ----
 
-std::vector<SchedulerDemand> random_demands(Rng& rng, std::size_t n) {
-  std::vector<SchedulerDemand> demands(n);
-  for (SchedulerDemand& d : demands) {
+/// One session's demand in struct shape: the ref:: algorithms read it, and
+/// DemandColumns packs a set of them into the kernels' spans.
+struct Demand {
+  double backlog = 0.0;
+  double arrivals = 0.0;
+  double weight = 1.0;
+  /// Served-bytes EWMA; negative = no history. A set carries history for
+  /// every session or for none (the kernels' input contract).
+  double ewma_throughput = -1.0;
+
+  [[nodiscard]] double total() const noexcept { return backlog + arrivals; }
+};
+
+/// SoA copy of a demand set. input() carries the default hints (generation
+/// 0, uniform false), i.e. the unhinted path, and an EWMA span that is empty
+/// unless the whole set has history.
+struct DemandColumns {
+  explicit DemandColumns(const std::vector<Demand>& demands) {
+    std::size_t with_history = 0;
+    for (const Demand& d : demands) {
+      backlog.push_back(d.backlog);
+      arrivals.push_back(d.arrivals);
+      weight.push_back(d.weight);
+      if (d.ewma_throughput >= 0.0) {
+        ewma.push_back(d.ewma_throughput);
+        ++with_history;
+      }
+    }
+    if (with_history != demands.size()) {
+      EXPECT_EQ(with_history, 0U) << "history for some sessions only";
+      ewma.clear();
+    }
+  }
+
+  [[nodiscard]] SchedulerInput input() const {
+    return SchedulerInput{backlog, arrivals, weight, ewma};
+  }
+
+  std::vector<double> backlog, arrivals, weight, ewma;
+};
+
+/// Unhinted span call over a demand set in struct shape.
+void allocate(EdgeScheduler& scheduler, double capacity,
+              const std::vector<Demand>& demands,
+              std::vector<double>& shares) {
+  scheduler.allocate(capacity, DemandColumns(demands).input(), shares);
+}
+
+std::vector<Demand> random_demands(Rng& rng, std::size_t n) {
+  std::vector<Demand> demands(n);
+  for (Demand& d : demands) {
     d.backlog = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 5'000.0);
     d.arrivals = rng.uniform(0.0, 1'000.0);
     d.weight = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.5, 4.0);
@@ -85,7 +133,7 @@ TEST(SchedulerTest, AllPoliciesConserveCapacity) {
       const std::size_t n = 1 + static_cast<std::size_t>(rng.below(12));
       const auto demands = random_demands(rng, n);
       const double capacity = rng.uniform(0.0, 20'000.0);
-      scheduler->allocate(capacity, demands, shares);
+      allocate(*scheduler, capacity, demands, shares);
       ASSERT_EQ(shares.size(), n) << scheduler->name();
       double total = 0.0;
       for (double s : shares) {
@@ -106,11 +154,11 @@ TEST(SchedulerTest, WorkConservingNeverWastesWhileBacklogged) {
     const auto demands = random_demands(rng, n);
     const double total_demand = std::accumulate(
         demands.begin(), demands.end(), 0.0,
-        [](double acc, const SchedulerDemand& d) { return acc + d.total(); });
+        [](double acc, const Demand& d) { return acc + d.total(); });
     // Capacity strictly below total demand: some queue stays backlogged, so
     // a work-conserving allocation must hand out every byte.
     const double capacity = rng.uniform(0.0, 0.95) * total_demand;
-    scheduler.allocate(capacity, demands, shares);
+    allocate(scheduler, capacity, demands, shares);
     const double allocated = std::accumulate(shares.begin(), shares.end(), 0.0);
     EXPECT_NEAR(allocated, capacity, 1e-6 * std::max(capacity, 1.0));
     // And nobody is granted beyond their demand while others starve.
@@ -123,9 +171,9 @@ TEST(SchedulerTest, WorkConservingNeverWastesWhileBacklogged) {
 TEST(SchedulerTest, WorkConservingMeetsAllDemandsUnderLightLoad) {
   WorkConservingScheduler scheduler;
   std::vector<double> shares;
-  const std::vector<SchedulerDemand> demands{
+  const std::vector<Demand> demands{
       {100.0, 50.0, 1.0}, {0.0, 0.0, 1.0}, {10.0, 5.0, 1.0}};
-  scheduler.allocate(1'000.0, demands, shares);
+  allocate(scheduler, 1'000.0, demands, shares);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     EXPECT_GE(shares[i], demands[i].total());
   }
@@ -137,25 +185,25 @@ TEST(SchedulerTest, ProportionalFairSplitsByWeightedDemand) {
   ProportionalFairScheduler scheduler;
   std::vector<double> shares;
   // Overload with equal weights: pure proportional split by demand.
-  scheduler.allocate(200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // Weight doubles a session's pull.
-  scheduler.allocate(120.0, {{100.0, 0.0, 2.0}, {100.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 120.0, {{100.0, 0.0, 2.0}, {100.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 80.0, 1e-9);
   EXPECT_NEAR(shares[1], 40.0, 1e-9);
   // A capped heavy-weight session's surplus flows to the rest instead of
   // being wasted.
-  scheduler.allocate(200.0, {{100.0, 0.0, 4.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 4.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 100.0, 1e-9);
   // Light load: everyone gets exactly their demand, never more.
-  scheduler.allocate(1'000.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 1'000.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 300.0, 1e-9);
   // A weight-0 session draws no proportional offer but is not starved:
   // once only zero-weight demand remains, the surplus water-fills it.
-  scheduler.allocate(100.0, {{50.0, 0.0, 0.0}, {10.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{50.0, 0.0, 0.0}, {10.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 10.0, 1e-9);
 }
@@ -169,17 +217,17 @@ TEST(SchedulerTest, WeightedPriorityGroupsWeightsFromDifferentArithmetic) {
   const double w_sum = 0.1 + 0.2;
   const double w_lit = 0.3;
   ASSERT_NE(w_sum, w_lit);  // the premise: different arithmetic paths differ
-  scheduler.allocate(100.0, {{150.0, 0.0, w_sum}, {150.0, 0.0, w_lit}},
+  allocate(scheduler, 100.0, {{150.0, 0.0, w_sum}, {150.0, 0.0, w_lit}},
                      shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Order-independent: the literal first gets the same split.
-  scheduler.allocate(100.0, {{150.0, 0.0, w_lit}, {150.0, 0.0, w_sum}},
+  allocate(scheduler, 100.0, {{150.0, 0.0, w_lit}, {150.0, 0.0, w_sum}},
                      shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Humanly distinct weights still tier strictly.
-  scheduler.allocate(100.0, {{150.0, 0.0, 0.3}, {150.0, 0.0, 0.31}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 0.3}, {150.0, 0.0, 0.31}}, shares);
   EXPECT_NEAR(shares[0], 0.0, 1e-9);
   EXPECT_NEAR(shares[1], 100.0, 1e-9);
 }
@@ -188,15 +236,15 @@ TEST(SchedulerTest, WeightedPriorityServesTiersInOrder) {
   WeightedPriorityScheduler scheduler;
   std::vector<double> shares;
   // The weight-2 tier drains fully before the weight-1 tier sees a byte.
-  scheduler.allocate(200.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 150.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Under overload the low tier starves entirely.
-  scheduler.allocate(100.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 0.0, 1e-9);
   // Equal weights degenerate to equal-split water-filling.
-  scheduler.allocate(100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
 }
@@ -207,20 +255,20 @@ TEST(SchedulerTest, ProportionalFairEwmaFavorsHistoricallyStarved) {
   // Equal weight, equal demand; session 0 has been drinking 1000 bytes/slot
   // while session 1 got nothing. True PF hands the starved session the lion's
   // share: pulls are 1/1001 vs 1/1.
-  scheduler.allocate(100.0,
+  allocate(scheduler, 100.0,
                      {{200.0, 0.0, 1.0, 1'000.0}, {200.0, 0.0, 1.0, 0.0}},
                      shares);
   EXPECT_LT(shares[0], 1.0);
   EXPECT_GT(shares[1], 99.0);
   EXPECT_NEAR(shares[0] + shares[1], 100.0, 1e-9);
   // Equal histories collapse to the legacy demand-proportional split.
-  scheduler.allocate(200.0,
+  allocate(scheduler, 200.0,
                      {{100.0, 0.0, 1.0, 500.0}, {300.0, 0.0, 1.0, 500.0}},
                      shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // No history (< 0, the default) is the legacy behaviour bit for bit.
-  scheduler.allocate(200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
 }
@@ -229,24 +277,24 @@ TEST(SchedulerTest, DeficitRoundRobinIsWeightedMaxMin) {
   DeficitRoundRobinScheduler scheduler;
   std::vector<double> shares;
   // Equal weights under overload: equal split.
-  scheduler.allocate(100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // 2:1 weights under overload: 2:1 split.
-  scheduler.allocate(90.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 90.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 60.0, 1e-9);
   EXPECT_NEAR(shares[1], 30.0, 1e-9);
   // Grants cap at demand; the surplus reaches the still-hungry session
   // (max-min, not strict priority).
-  scheduler.allocate(300.0, {{100.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 300.0, {{100.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // Zero-weight sessions are served from leftovers only.
-  scheduler.allocate(100.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);  // leftover 50 of the 80 wanted
   // Under overload nothing leaks to weight zero.
-  scheduler.allocate(40.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 40.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 0.0, 1e-9);
   EXPECT_NEAR(shares[1], 40.0, 1e-9);
 }
@@ -258,7 +306,7 @@ TEST(SchedulerTest, DeficitRoundRobinHandlesVanishinglySmallWeights) {
   // call used to take hours at weight 1e-12.
   DeficitRoundRobinScheduler scheduler;
   std::vector<double> shares;
-  scheduler.allocate(1'000.0, {{1'000.0, 0.0, 1e-12}, {10.0, 0.0, 1.0}},
+  allocate(scheduler, 1'000.0, {{1'000.0, 0.0, 1e-12}, {10.0, 0.0, 1.0}},
                      shares);
   EXPECT_NEAR(shares[1], 10.0, 1e-9);
   EXPECT_NEAR(shares[0], 990.0, 1e-6);
@@ -269,12 +317,12 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
   // round keeps the residue; the cursor rotates that advantage across slots.
   DeficitRoundRobinScheduler scheduler;
   std::vector<double> shares;
-  const std::vector<SchedulerDemand> demands{
+  const std::vector<Demand> demands{
       {5.0, 0.0, 1.0}, {100.0, 0.0, 1.0}, {100.0, 0.0, 1.0}};
-  scheduler.allocate(30.0, demands, shares);  // rotation starts at index 0
+  allocate(scheduler, 30.0, demands, shares);  // rotation starts at index 0
   const std::vector<double> first = shares;
-  scheduler.allocate(30.0, demands, shares);
-  scheduler.allocate(30.0, demands, shares);  // rotation starts at index 2
+  allocate(scheduler, 30.0, demands, shares);
+  allocate(scheduler, 30.0, demands, shares);  // rotation starts at index 2
   const std::vector<double> third = shares;
   // Session 0's tiny demand is always met; the big pair split the rest, and
   // the 5-byte residue lands on whichever of them the rotation favours.
@@ -294,7 +342,7 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
 
 namespace ref {
 
-double water_fill(double capacity, const std::vector<SchedulerDemand>& d,
+double water_fill(double capacity, const std::vector<Demand>& d,
                   std::vector<std::size_t>& unsatisfied,
                   std::vector<double>& shares) {
   while (capacity > 0.0 && !unsatisfied.empty()) {
@@ -319,7 +367,7 @@ double water_fill(double capacity, const std::vector<SchedulerDemand>& d,
   return std::max(capacity, 0.0);
 }
 
-void work_conserving(double capacity, const std::vector<SchedulerDemand>& d,
+void work_conserving(double capacity, const std::vector<Demand>& d,
                      std::vector<double>& shares) {
   const std::size_t n = d.size();
   shares.assign(n, 0.0);
@@ -333,7 +381,7 @@ void work_conserving(double capacity, const std::vector<SchedulerDemand>& d,
   }
 }
 
-void proportional_fair(double capacity, const std::vector<SchedulerDemand>& d,
+void proportional_fair(double capacity, const std::vector<Demand>& d,
                        std::vector<double>& shares) {
   const std::size_t n = d.size();
   shares.assign(n, 0.0);
@@ -375,7 +423,7 @@ void proportional_fair(double capacity, const std::vector<SchedulerDemand>& d,
   }
 }
 
-void weighted_priority(double capacity, const std::vector<SchedulerDemand>& d,
+void weighted_priority(double capacity, const std::vector<Demand>& d,
                        std::vector<double>& shares) {
   const std::size_t n = d.size();
   shares.assign(n, 0.0);
@@ -403,7 +451,7 @@ void weighted_priority(double capacity, const std::vector<SchedulerDemand>& d,
 }
 
 void deficit_round_robin(double capacity,
-                         const std::vector<SchedulerDemand>& d,
+                         const std::vector<Demand>& d,
                          std::size_t cursor, std::vector<double>& shares) {
   const std::size_t n = d.size();
   shares.assign(n, 0.0);
@@ -466,13 +514,15 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
 
   for (int iter = 0; iter < 300; ++iter) {
     const std::size_t n = rng.below(18);
-    std::vector<SchedulerDemand> demands = random_demands(rng, n);
+    std::vector<Demand> demands = random_demands(rng, n);
     // Exercise every regime the fast paths special-case: uniform weights,
-    // PF history, zero-demand and zero-weight stragglers, dry capacity.
+    // PF history (for every session or for none), zero-demand and
+    // zero-weight stragglers, dry capacity.
     const bool uniform = rng.bernoulli(0.4);
-    for (SchedulerDemand& d : demands) {
+    const bool history = rng.bernoulli(0.5);
+    for (Demand& d : demands) {
       if (uniform) d.weight = 1.5;
-      if (rng.bernoulli(0.3)) d.ewma_throughput = rng.uniform(0.0, 2'000.0);
+      if (history) d.ewma_throughput = rng.uniform(0.0, 2'000.0);
       if (rng.bernoulli(0.1)) d.weight = 0.0;
       if (rng.bernoulli(0.1)) {
         d.backlog = 0.0;
@@ -480,39 +530,37 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
       }
     }
     double total = 0.0;
-    for (const SchedulerDemand& d : demands) total += d.total();
+    for (const Demand& d : demands) total += d.total();
     const double capacity =
         rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, total * 1.4 + 10.0);
 
-    // SoA mirror of the demand set, carrying the aggregate hints the hot
-    // path would supply.
-    std::vector<double> backlog(n), arrivals(n), weight(n), ewma(n);
+    // SoA mirror of the demand set. `plain` keeps the default hints (the
+    // unhinted path); `input` carries the aggregate hints the hot path
+    // would supply.
+    const DemandColumns columns(demands);
+    const SchedulerInput plain = columns.input();
     bool bits_uniform = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      backlog[i] = demands[i].backlog;
-      arrivals[i] = demands[i].arrivals;
-      weight[i] = demands[i].weight;
-      ewma[i] = demands[i].ewma_throughput;
-      if (weight[i] != weight[0]) bits_uniform = false;
+    for (const Demand& d : demands) {
+      if (d.weight != demands[0].weight) bits_uniform = false;
     }
-    SchedulerInput input{backlog, arrivals, weight, ewma};
+    SchedulerInput input = plain;
     input.membership_generation = static_cast<std::uint64_t>(iter) + 1;
-    input.uniform_weights = bits_uniform ? 1 : 0;
+    input.uniform_weights = bits_uniform;
 
     ref::work_conserving(capacity, demands, want);
-    wc.allocate(capacity, demands, shares);  // adapter path, no hints
+    wc.allocate(capacity, plain, shares);
     ASSERT_EQ(shares, want) << "wc iter " << iter;
     wc.allocate(capacity, input, hinted);
     ASSERT_EQ(hinted, want) << "wc hinted iter " << iter;
 
     ref::proportional_fair(capacity, demands, want);
-    pf.allocate(capacity, demands, shares);
+    pf.allocate(capacity, plain, shares);
     ASSERT_EQ(shares, want) << "pf iter " << iter;
     pf.allocate(capacity, input, hinted);
     ASSERT_EQ(hinted, want) << "pf hinted iter " << iter;
 
     ref::weighted_priority(capacity, demands, want);
-    wp.allocate(capacity, demands, shares);
+    wp.allocate(capacity, plain, shares);
     ASSERT_EQ(shares, want) << "wp iter " << iter;
     // Twice with the same generation: the second call replays the cached
     // tier permutation and must not drift by a bit.
@@ -526,7 +574,7 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
     // (the cursor only advances on non-empty demand sets).
     ref::deficit_round_robin(capacity, demands, drr_calls, want);
     if (n > 0) ++drr_calls;
-    drr.allocate(capacity, demands, shares);
+    drr.allocate(capacity, plain, shares);
     ASSERT_EQ(shares, want) << "drr iter " << iter;
     ref::deficit_round_robin(capacity, demands, drr_calls, want);
     if (n > 0) ++drr_calls;
@@ -561,7 +609,7 @@ TEST(SchedulerTest, TierPartitionMatchesSortAtFleetScale) {
     // The distinct-weight sets, then all-distinct weights (k = n).
     for (std::size_t set = 0; set <= weight_sets.size(); ++set) {
       for (int draw = 0; draw < 2; ++draw) {
-        std::vector<SchedulerDemand> demands = random_demands(rng, n);
+        std::vector<Demand> demands = random_demands(rng, n);
         for (std::size_t i = 0; i < n; ++i) {
           demands[i].weight =
               set < weight_sets.size()
@@ -569,7 +617,7 @@ TEST(SchedulerTest, TierPartitionMatchesSortAtFleetScale) {
                   : rng.uniform(0.0, 8.0);
         }
         double total = 0.0;
-        for (const SchedulerDemand& d : demands) total += d.total();
+        for (const Demand& d : demands) total += d.total();
         const double capacity = rng.uniform(0.0, total * 1.2 + 10.0);
 
         std::vector<double> backlog(n), arrivals(n), weight(n);
@@ -585,7 +633,7 @@ TEST(SchedulerTest, TierPartitionMatchesSortAtFleetScale) {
         }
         SchedulerInput input{backlog, arrivals, weight, {}};
         input.membership_generation = ++generation;
-        input.uniform_weights = bits_uniform ? 1 : 0;
+        input.uniform_weights = bits_uniform;
 
         ref::weighted_priority(capacity, demands, want);
         wp.allocate(capacity, input, shares);
